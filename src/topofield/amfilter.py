@@ -24,29 +24,21 @@ class FilterParams:
 
     epsilon controls the smooth-min regularization, sharpness the power-sum
     exponent of the smooth max. The root exponent is calibrated so that a
-    uniform support at the calibration density maps to itself exactly.
+    uniform 3-element support at density 1/2 maps to itself exactly.
     """
 
     epsilon: float = 1e-4
     sharpness: float = 40.0
-    support_size: int = 3
-    calibration_density: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
-        if self.support_size != 3:
-            raise ValueError("only the 3-element support region is supported")
-        if not 0.0 < self.calibration_density < 1.0:
-            raise ValueError("calibration density must lie in (0, 1)")
 
     @property
     def root_exponent(self) -> float:
-        return self.sharpness + math.log(self.support_size) / math.log(
-            self.calibration_density
-        )
+        return self.sharpness + math.log(3) / math.log(0.5)
 
 
 @dataclass
@@ -58,7 +50,6 @@ class DensityField:
 
     values: np.ndarray
     kind: str = "blueprint"
-    passive_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -103,8 +94,8 @@ def smooth_min(b, e, params: FilterParams):
 def smooth_max(support, params: FilterParams):
     """(sum rho^P)^(1/Q) over the 3-element support region.
 
-    Calibrated so a uniform support at the calibration density reproduces it
-    exactly; an all-zero support returns 0 with zero gradient.
+    Calibrated so a uniform support at density 1/2 reproduces it exactly;
+    an all-zero support returns 0 with zero gradient.
     """
     a, b, c = support
     s = _pow(a, params.sharpness) + _pow(b, params.sharpness) + _pow(c, params.sharpness)
@@ -150,19 +141,18 @@ def apply_filter(blueprint, nelx: int, nely: int, params: FilterParams):
     return ad.clamp_straight_through(ad.concat(rows), 0.0, 1.0)
 
 
-def apply_filter_field(field: DensityField, params: FilterParams) -> DensityField:
-    """Convenience grid-in/grid-out wrapper around :func:`apply_filter`."""
-    printed = apply_filter(field.flat, field.nelx, field.nely, params)
-    return DensityField(printed.reshape(field.nely, field.nelx), kind="printed")
+def _exact_support(row: np.ndarray) -> np.ndarray:
+    """Exact support of each element above ``row``: the largest of the three
+    elements below it, with zero padding outside the domain."""
+    padded = np.concatenate([[0.0], row, [0.0]])
+    return np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
 
 
 def apply_filter_exact(grid: np.ndarray) -> np.ndarray:
     """Exact min/max overhang filter (the limit of the smooth surrogates)."""
     out = np.array(grid, dtype=float)
     for i in range(1, out.shape[0]):
-        padded = np.concatenate([[0.0], out[i - 1], [0.0]])
-        support = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
-        out[i] = np.minimum(out[i], support)
+        out[i] = np.minimum(out[i], _exact_support(out[i - 1]))
     return out
 
 
@@ -177,7 +167,5 @@ def overhang_violations(binary_grid: np.ndarray) -> int:
     grid = np.asarray(binary_grid)
     count = 0
     for i in range(1, grid.shape[0]):
-        padded = np.concatenate([[0.0], grid[i - 1], [0.0]])
-        support = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
-        count += int(np.sum((grid[i] > 0) & (support == 0)))
+        count += int(np.sum((grid[i] > 0) & (_exact_support(grid[i - 1]) == 0)))
     return count

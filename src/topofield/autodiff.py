@@ -105,9 +105,6 @@ class Gradients:
             return np.zeros_like(x.value)
         return np.broadcast_to(g, x.value.shape).astype(float, copy=True)
 
-    def adjoint(self, nid: int):
-        return self._adjoints.get(nid)
-
 
 class DiffValue:
     """A forward value plus its position on the tape."""

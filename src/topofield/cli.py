@@ -51,42 +51,37 @@ class BenchmarkCase:
     alpha_max: float = 100.0
     gamma_max: float = 50.0
     ramp_fraction: float = 0.15
-    decay_milestones: tuple = (0.85,)
-    decay_factor: float = 0.5
     fourier_m: int = 64
     fourier_scale: float = 1.5
-    fourier_seed: int = 0  # frequency draw is fixed; `seed` varies the init
     hidden_widths: tuple = (64, 64)
     cheb_order: int = 1
     filter_epsilon: float = 1e-4
     filter_sharpness: float = 40.0
-    filter_continuation: bool = True
-    filter_epsilon_start: float = 1e-3
-    filter_sharpness_start: float = 10.0
     E0: float = 1.0
     Emin: float = 1e-9
     nu: float = 0.3
     penal: float = 3.0
-    penal_continuation: bool = True
-    penal_ramp_fraction: float = 0.5
     stress_exponent: float = 8.0
     volume_feasible_tol: float = 0.01
     stress_feasible_tol: float = 0.02
-    two_sided_stress_penalty: bool = False
-    passive_bottom_layer: bool = False
     # explicit boundary conditions for name == "custom"
     custom_fixed_dofs: tuple = ()
     custom_loads: tuple = ()  # pairs (dof, magnitude)
 
     def build_problem(self, mesh: StructuredMesh):
-        """Fixed DOFs, load vector, and passive mask for this case."""
+        """Fixed DOFs, load vector, and passive mask for this case.
+
+        Only simply_supported has passive elements: its base layer is solid.
+        """
         f = np.zeros(mesh.n_dofs)
+        passive = np.zeros(mesh.n_elems)
         if self.name == "simply_supported":
             n_bl = mesh.node_id(0, 0)
             n_br = mesh.node_id(mesh.nelx, 0)
             fixed = np.array([2 * n_bl, 2 * n_bl + 1, 2 * n_br + 1])
             bottom_nodes = np.array([mesh.node_id(j, 0) for j in range(mesh.nelx + 1)])
             f[2 * bottom_nodes + 1] = -self.load_scale
+            passive[: mesh.nelx] = 1.0
         elif self.name == "tip_cantilever":
             left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
             fixed = np.concatenate([2 * left, 2 * left + 1])
@@ -101,24 +96,16 @@ class BenchmarkCase:
                 f[int(dof)] += float(mag) * self.load_scale
         else:
             raise ValueError(f"unknown benchmark case {self.name!r}")
-
-        passive = np.zeros(mesh.n_elems)
-        if self.passive_bottom_layer:
-            passive[: mesh.nelx] = 1.0
         return np.sort(fixed), f, passive
 
 
 def preset(name: str, **overrides) -> BenchmarkCase:
     """Benchmark preset by name with keyword overrides."""
-    if name == "simply_supported":
-        case = BenchmarkCase(name=name, passive_bottom_layer=True)
-    elif name in ("tip_cantilever", "mid_cantilever", "custom"):
-        case = BenchmarkCase(name=name)
-    else:
+    if name not in BENCHMARK_NAMES + ("custom",):
         raise ValueError(
             f"unknown case {name!r}; choose from {', '.join(BENCHMARK_NAMES)} or custom"
         )
-    return dataclasses.replace(case, **overrides) if overrides else case
+    return BenchmarkCase(name=name, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +351,18 @@ class ComparisonResult:
                     fh.write(f"{seed},{label},{'' if val is None else repr(val)},{err}\n")
 
 
-def compare_benchmark(
-    case: BenchmarkCase, seeds, out_root=None, write_artifacts: bool = False
-) -> ComparisonResult:
-    """Run all three conditions per seed; failures mark the row and continue."""
+def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonResult:
+    """Run all three conditions per seed; failures mark the row and continue.
+
+    With ``out_root`` each run also writes its artifact set there.
+    """
     comp: dict = {}
     errors: dict = {}
     for seed in seeds:
         for label, filt, stress in CONDITIONS:
             run = dataclasses.replace(case, seed=seed, filter_on=filt, stress_on=stress)
             try:
-                if write_artifacts and out_root is not None:
+                if out_root is not None:
                     summary = run_case(run, out_root)
                     comp[(label, seed)] = summary["final_compliance"]
                 else:
@@ -391,7 +379,7 @@ def compare_benchmark(
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--case", choices=BENCHMARK_NAMES + ("custom",))
+    parser.add_argument("--case", choices=BENCHMARK_NAMES)
     parser.add_argument("--config", type=str, help="key = value configuration file")
     parser.add_argument("--nelx", type=int)
     parser.add_argument("--nely", type=int)
@@ -402,32 +390,17 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--iters", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--load-scale", type=float, dest="load_scale")
-    parser.add_argument("--out-dir", type=str, dest="out_dir", default="runs")
+    parser.add_argument("--out-dir", type=str, dest="out_dir")
 
 
 def _case_from_args(args) -> tuple[BenchmarkCase, str]:
-    options = {}
-    if args.config:
-        options.update(load_config(args.config))
-    flag_map = {
-        "case": args.case,
-        "nelx": args.nelx,
-        "nely": args.nely,
-        "volfrac": args.volfrac,
-        "filter": None if args.filter is None else _parse_bool(args.filter),
-        "stress": None if args.stress is None else _parse_bool(args.stress),
-        "sigma_allow": args.sigma_allow,
-        "iters": args.iters,
-        "seed": args.seed,
-        "load_scale": args.load_scale,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            options[key] = val
-    out_dir = args.out_dir or options.get("out_dir", "runs")
-    if "out_dir" in options and args.out_dir == "runs":
-        out_dir = options["out_dir"]
-    return case_from_options(options), out_dir
+    """Config-file values, then the flags given on the command line over them."""
+    options = load_config(args.config) if args.config else {}
+    for key, parse in CONFIG_KEYS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            options[key] = parse(value)
+    return case_from_options(options), options.get("out_dir", "runs")
 
 
 def main(argv=None) -> int:
@@ -461,7 +434,7 @@ def main(argv=None) -> int:
         return 0
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    comparison = compare_benchmark(case, seeds, out_dir, write_artifacts=True)
+    comparison = compare_benchmark(case, seeds, out_dir)
     print(comparison.render())
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ the adjoint solve in the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,12 +163,10 @@ class StiffnessSystem:
     """Solve byproducts kept for verification and the analytic oracles."""
 
     K: sp.csc_array
-    f: np.ndarray
-    fixed_dofs: np.ndarray
     free_dofs: np.ndarray
     u: np.ndarray
     KE0: np.ndarray
-    dof_map: np.ndarray
+    mesh: StructuredMesh
     rho: np.ndarray
     mat: MaterialModel
 
@@ -196,12 +194,10 @@ def assemble_and_solve(
     u = ad.linear_solve(assembler, rho, f)
     system = StiffnessSystem(
         K=assembler._last_reduced,
-        f=f,
-        fixed_dofs=assembler.fixed_dofs,
         free_dofs=assembler.free_dofs,
         u=u.value,
         KE0=assembler.ke0,
-        dof_map=mesh.dof_map,
+        mesh=mesh,
         rho=np.array(rho.value),
         mat=mat,
     )
@@ -223,8 +219,6 @@ class StressField:
     von_mises_unit: DiffValue
     von_mises: DiffValue
     modulus: DiffValue
-    D0: np.ndarray
-    Bmat: np.ndarray
 
     @property
     def sigma_components(self) -> np.ndarray:
@@ -240,9 +234,7 @@ def centroid_stress(
     element displacements; the von Mises scalar is then scaled by sqrt(E_e)
     so void elements do not attract spurious stress.
     """
-    d0 = constitutive_unit(mat.nu)
-    bmat = strain_displacement(0.0, 0.0, mesh.elem_size)
-    sm = d0 @ bmat
+    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, mesh.elem_size)
     ue = ad.gather(u, mesh.dof_map)
     sxx = ad.matmul(ue, sm[0])
     syy = ad.matmul(ue, sm[1])
@@ -251,7 +243,7 @@ def centroid_stress(
     vm_unit = ad.sqrt(vm_sq)
     e_mod = simp_modulus(rho, mat)
     vm = vm_unit * ad.sqrt(e_mod)
-    return StressField(sxx, syy, sxy, vm_unit, vm, e_mod, d0, bmat)
+    return StressField(sxx, syy, sxy, vm_unit, vm, e_mod)
 
 
 @dataclass(frozen=True)
@@ -264,7 +256,6 @@ class StressAggregate:
 
     sigma_allow: float
     exponent: float = 8.0
-    n_regions: int = field(default=1)
     excluded: tuple = ()
 
     def __post_init__(self):
@@ -272,8 +263,6 @@ class StressAggregate:
             raise ValueError("sigma_allow must be positive")
         if self.exponent < 2:
             raise ValueError("aggregation exponent must be >= 2")
-        if self.n_regions != 1:
-            raise ValueError("only a single global aggregation region is supported")
         if any(int(e) != e or e < 0 for e in self.excluded):
             raise ValueError("excluded elements must be non-negative indices")
 

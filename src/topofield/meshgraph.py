@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+POWER_ITERS = 100
+POWER_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class StructuredMesh:
@@ -104,9 +107,7 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     return StructuredMesh(nelx, nely, h, node_coords, elem_centroids, dof_map)
 
 
-def build_element_graph(
-    mesh: StructuredMesh, power_iters: int = 100, power_tol: float = 1e-6
-) -> ElementGraph:
+def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
     """Element graph with 4-neighborhood edges (shared mesh edge).
 
     The normalized Laplacian is D^{-1/2} A D^{-1/2} - I with the diagonal
@@ -140,7 +141,7 @@ def build_element_graph(
     diag = np.where(degree > 0, -1.0, 0.0)
     lap = (lap + sp.diags_array(diag, format="csr")).tocsr()
 
-    lam = _dominant_eigenvalue(lap, power_iters, power_tol)
+    lam = _dominant_eigenvalue(lap)
     if abs(lam) < 1e-12:
         # empty Laplacian (single isolated element): 2L/lam - I degenerates to -I
         scaled = sp.diags_array(-np.ones(n), format="csr")
@@ -152,20 +153,21 @@ def build_element_graph(
     return ElementGraph(adjacency, degree, lap, scaled, float(lam))
 
 
-def _dominant_eigenvalue(matrix: sp.csr_array, max_iters: int, tol: float) -> float:
-    """Signed dominant eigenvalue of a symmetric matrix by power iteration."""
+def _dominant_eigenvalue(matrix: sp.csr_array) -> float:
+    """Signed dominant eigenvalue of a symmetric matrix by power iteration:
+    at most POWER_ITERS steps, stopping at relative change POWER_TOL."""
     n = matrix.shape[0]
     v = np.random.default_rng(1234).standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_ITERS):
         w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         lam_new = float(v @ (matrix @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     return lam

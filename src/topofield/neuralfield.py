@@ -99,8 +99,6 @@ def cheb_layer_forward(
     out = out + params.bias
     if activation == "relu":
         return ad.relu(out)
-    if activation == "sigmoid":
-        return ad.sigmoid(out)
     if activation == "none":
         return out
     raise ValueError(f"unknown activation {activation!r}")

@@ -46,6 +46,20 @@ RUN_FAILURES = (SolverFailureError, NonFiniteGradientError, NumericDomainError, 
 # iterations between stress-multiplier updates; updating every iteration lets
 # the multiplier outrun Adam and the design oscillates between solid and void
 MULTIPLIER_INTERVAL = 10
+# share of the run over which the SIMP exponent and the filter sharpen
+CONTINUATION_FRACTION = 0.5
+# filter surrogates at the start of the continuation; they sharpen
+# geometrically to the case's filter_epsilon and filter_sharpness
+FILTER_EPSILON_START = 1e-3
+FILTER_SHARPNESS_START = 10.0
+# the learning rate is multiplied by LR_DECAY_FACTOR after this share of the run
+LR_DECAY_AT = 0.85
+LR_DECAY_FACTOR = 0.5
+# the Fourier frequency draw is fixed; the case seed varies the network init
+FOURIER_SEED = 0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -66,7 +80,6 @@ class LossSpec:
     sigma_allow: float
     elem_volumes: np.ndarray
     compliance_scale: float = 1.0
-    n_regions: int = 1
     one_sided: bool = True
     stress_multiplier: float = 0.0
 
@@ -92,15 +105,13 @@ def composite_loss(c, rho_printed, stress_pn, spec: LossSpec):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus step count."""
+    """First/second moment buffers plus step count; the moment decay rates
+    and the denominator guard are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
 
     m: list
     v: list
     step: int = 0
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_parameters(cls, params: list, learning_rate: float = 0.01) -> "AdamState":
@@ -120,7 +131,7 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
                 f"max |g| = {np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else np.nan}"
             )
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -128,7 +139,7 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -199,8 +210,8 @@ def _penalty_schedule(it: int, case) -> tuple[float, float]:
     alpha = case.alpha_start + (case.alpha_max - case.alpha_start) * min(1.0, it / ramp)
     if not case.stress_on:
         return alpha, 0.0
-    start = _continuation_length(case) if case.penal_continuation else 0
-    return alpha, case.gamma_max * min(1.0, max(0, it - start) / ramp)
+    ramped = max(0, it - _continuation_length(case))
+    return alpha, case.gamma_max * min(1.0, ramped / ramp)
 
 
 def _learning_rate(it: int, case) -> float:
@@ -208,15 +219,14 @@ def _learning_rate(it: int, case) -> float:
     warmup = max(1, int(round(0.03 * case.iterations)))
     if it <= warmup:
         lr *= it / warmup
-    for milestone in case.decay_milestones:
-        if it > milestone * case.iterations:
-            lr *= case.decay_factor
+    if it > LR_DECAY_AT * case.iterations:
+        lr *= LR_DECAY_FACTOR
     return lr
 
 
 def _continuation_length(case) -> int:
     """Iterations over which the SIMP exponent and the filter sharpen."""
-    return max(1, int(round(case.penal_ramp_fraction * case.iterations)))
+    return max(1, int(round(CONTINUATION_FRACTION * case.iterations)))
 
 
 def _penalization(it: int, case) -> float:
@@ -226,8 +236,6 @@ def _penalization(it: int, case) -> float:
     seeds from scattering into unrelated local minima before the topology
     has formed.
     """
-    if not case.penal_continuation:
-        return case.penal
     t = min(1.0, it / _continuation_length(case))
     return 1.0 + (case.penal - 1.0) * t
 
@@ -237,11 +245,9 @@ def _filter_params(it: int, case) -> FilterParams:
     sharpen geometrically to the target over the same window as the SIMP
     ramp. A hard filter from iteration 1 starves shadowed regions of
     gradient and strands the design in poor basins."""
-    if not getattr(case, "filter_continuation", False):
-        return FilterParams(case.filter_epsilon, case.filter_sharpness)
     t = min(1.0, it / _continuation_length(case))
-    eps = case.filter_epsilon_start ** (1.0 - t) * case.filter_epsilon**t
-    sharp = case.filter_sharpness_start ** (1.0 - t) * case.filter_sharpness**t
+    eps = FILTER_EPSILON_START ** (1.0 - t) * case.filter_epsilon**t
+    sharp = FILTER_SHARPNESS_START ** (1.0 - t) * case.filter_sharpness**t
     return FilterParams(eps, sharp)
 
 
@@ -253,7 +259,8 @@ def run_optimization(case) -> OptimizationResult:
     (volume within tolerance of the target, aggregated stress within its
     tolerance when the constraint is active, lowest compliance among those);
     if no iterate is feasible, the one with the smallest constraint violation
-    is returned instead.
+    is returned instead. Iterates before the SIMP continuation ends count
+    only when the run stops before reaching the final exponent.
 
     The stress constraint is sigma_PN <= ``stress_feasible_tol``, the same
     bound that decides feasibility, enforced by an augmented Lagrangian: the
@@ -268,10 +275,7 @@ def run_optimization(case) -> OptimizationResult:
     mesh = build_mesh(case.nelx, case.nely, case.elem_size)
     graph = build_element_graph(mesh)
     features = fourier_encode(
-        normalize_centroids(mesh),
-        case.fourier_m,
-        case.fourier_scale,
-        getattr(case, "fourier_seed", case.seed),
+        normalize_centroids(mesh), case.fourier_m, case.fourier_scale, FOURIER_SEED
     )
     fixed_dofs, f, passive = case.build_problem(mesh)
     agg = StressAggregate(
@@ -293,12 +297,11 @@ def run_optimization(case) -> OptimizationResult:
         volume_target=case.volume_fraction * elem_vol.sum(),
         sigma_allow=case.sigma_allow,
         elem_volumes=elem_vol,
-        one_sided=not case.two_sided_stress_penalty,
     )
 
     tape = Tape()
     record = ConvergenceRecord()
-    best = None  # (feasible, violation, compliance, iter, printed, blueprint)
+    best = None  # (final, feasible, violation, compliance, iter, printed, blueprint)
     aborted, abort_reason = False, ""
     start = time.perf_counter()
 
@@ -343,17 +346,17 @@ def run_optimization(case) -> OptimizationResult:
             max(float(pn.value) - case.stress_feasible_tol, 0.0) if case.stress_on else 0.0
         )
         feasible = vol_gap == 0.0 and pn_gap == 0.0
-        # only iterates evaluated at the final penalization are comparable
-        if penal_now == case.penal:
-            candidate = (feasible, vol_gap + pn_gap, float(c.value), it)
-            if best is None or _better(candidate, best[:4]):
-                best = candidate + (np.array(rho.value), np.array(b.value))
+        # iterates at the final penalization rank above all earlier ones, which
+        # count only for a run that stops before reaching it
+        candidate = (penal_now == case.penal, feasible, vol_gap + pn_gap, float(c.value), it)
+        if best is None or _better(candidate, best[:5]):
+            best = candidate + (np.array(rho.value), np.array(b.value))
 
     if best is None:
         raise SolverFailureError(
             f"optimization aborted before completing one iteration: {abort_reason}"
         )
-    feasible, _violation, best_c, best_it, best_rho, best_b = best
+    _final, feasible, _violation, best_c, best_it, best_rho, best_b = best
     idx = best_it - 1
     result = OptimizationResult(
         printed=DensityField.from_flat(best_rho, case.nelx, case.nely, "printed"),
@@ -373,9 +376,12 @@ def run_optimization(case) -> OptimizationResult:
 
 
 def _better(a, b) -> bool:
-    """Candidate ordering: feasible first, then smaller violation, then lower C."""
-    a_feas, a_viol, a_c, _ = a
-    b_feas, b_viol, b_c, _ = b
+    """Candidate ordering: final penalization first, then feasible, then
+    smaller violation, then lower C."""
+    a_final, a_feas, a_viol, a_c, _ = a
+    b_final, b_feas, b_viol, b_c, _ = b
+    if a_final != b_final:
+        return a_final
     if a_feas != b_feas:
         return a_feas
     if a_feas:

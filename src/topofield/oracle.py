@@ -105,7 +105,7 @@ def filter_adjoint_gradient(
 
 def compliance_density_gradient(system: StiffnessSystem) -> np.ndarray:
     """dC/drho_e = -dE/drho_e * u_e^T KE0 u_e (self-adjoint load case)."""
-    ue = system.u[system.dof_map]
+    ue = system.u[system.mesh.dof_map]
     quad = np.einsum("ej,jk,ek->e", ue, system.KE0, ue)
     return -system.mat.modulus_derivative(system.rho) * quad
 
@@ -147,17 +147,18 @@ def stress_adjoint_gradient(
     dvm0[active, 1] = (2.0 * syy[active] - sxx[active]) / (2.0 * vm0[active])
     dvm0[active, 2] = 6.0 * sxy[active] / (2.0 * vm0[active])
 
-    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0)
+    dof_map = system.mesh.dof_map
+    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, system.mesh.elem_size)
     dvm_du = np.sqrt(e_mod)[:, None] * (dvm0 @ sm)
 
     rhs = np.zeros(system.u.shape[0])
-    np.add.at(rhs, system.dof_map, -coeff[:, None] * dvm_du)
+    np.add.at(rhs, dof_map, -coeff[:, None] * dvm_du)
     lam = np.zeros_like(rhs)
     lam[system.free_dofs] = splu(system.K).solve(rhs[system.free_dofs])
 
     de = mat.modulus_derivative(rho)
-    ue = u[system.dof_map]
-    le = lam[system.dof_map]
+    ue = u[dof_map]
+    le = lam[dof_map]
     term_state = de * np.einsum("ej,jk,ek->e", le, system.KE0, ue)
     term_direct = np.where(active, coeff * vm0 / (2.0 * np.sqrt(e_mod)) * de, 0.0)
     return term_state + term_direct

@@ -11,9 +11,9 @@ def rel_err(a, b, floor=1e-12):
     return np.linalg.norm((a - b).ravel()) / (np.linalg.norm(a.ravel()) + floor)
 
 
-def cantilever_problem(nelx, nely, load_dof_y=None):
+def cantilever_problem(nelx, nely, load_dof_y=None, elem_size=1.0):
     """Small left-clamped cantilever with a unit tip load."""
-    mesh = tf.build_mesh(nelx, nely)
+    mesh = tf.build_mesh(nelx, nely, elem_size)
     left = np.array([mesh.node_id(0, i) for i in range(nely + 1)])
     fixed = np.concatenate([2 * left, 2 * left + 1])
     f = np.zeros(mesh.n_dofs)

@@ -17,8 +17,6 @@ def test_presets_carry_benchmark_constants():
         assert case.nu == 0.3
         assert case.nelx == 60 and case.nely == 20
         assert case.volume_fraction == 0.5
-    assert cli.preset("simply_supported").passive_bottom_layer
-    assert not cli.preset("tip_cantilever").passive_bottom_layer
     with pytest.raises(ValueError):
         cli.preset("bogus_case")
 
@@ -195,16 +193,21 @@ def test_cli_flag_overrides_config(tmp_path):
     import argparse
 
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("case = simply_supported\nnelx = 30\nseed = 5\n")
+    cfg.write_text(
+        f"case = simply_supported\nnelx = 30\nseed = 5\nout_dir = {tmp_path / 'cfg'}\n"
+    )
     parser = argparse.ArgumentParser()
     sub = parser.add_subparsers(dest="command")
     cli._add_common_flags(sub.add_parser("run"))
     args = parser.parse_args(
-        ["run", "--config", str(cfg), "--nelx", "8", "--out-dir", str(tmp_path)]
+        ["run", "--config", str(cfg), "--nelx", "8", "--out-dir", "runs"]
     )
-    case, _out = cli._case_from_args(args)
+    case, out = cli._case_from_args(args)
     assert case.nelx == 8  # flag wins over config
+    assert out == "runs"  # also when the flag names the default directory
     assert case.seed == 5  # config survives where no flag given
+    case, out = cli._case_from_args(parser.parse_args(["run", "--config", str(cfg)]))
+    assert out == str(tmp_path / "cfg")
 
 
 def test_cli_bad_config_is_usage_error(tmp_path, capsys):
@@ -213,6 +216,14 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     code = cli.main(_smoke_args(tmp_path, ("--config", str(cfg))))
     assert code == 2
     assert "broken.cfg:1" in capsys.readouterr().err
+
+
+def test_cli_custom_case_is_usage_error(tmp_path, capsys):
+    # no flag can give the custom case its supports and loads
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--case", "custom", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
 
 
 def test_compare_tiny_mesh_table(tmp_path):

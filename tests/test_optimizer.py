@@ -195,15 +195,11 @@ def test_schedules():
     g_max = stress_case.gamma_max
     assert gammas[:2] == [0.0, 0.0]
     assert np.allclose(gammas[2:], [g_max / 15, g_max * 8 / 15, g_max, g_max], rtol=1e-15)
-    no_continuation = tf.preset(
-        "simply_supported", iterations=100, stress_on=True, penal_continuation=False
-    )
-    assert opt._penalty_schedule(1, no_continuation)[1] == g_max / 15
     warmup = max(1, int(round(0.03 * case.iterations)))
     assert np.isclose(opt._learning_rate(1, case), case.learning_rate / warmup)
     assert opt._learning_rate(warmup, case) == case.learning_rate
     lr_end = opt._learning_rate(100, case)
-    assert lr_end == case.learning_rate * case.decay_factor ** len(case.decay_milestones)
+    assert lr_end == case.learning_rate * opt.LR_DECAY_FACTOR
 
 
 def _tiny_case(**kw):
@@ -239,7 +235,7 @@ def test_run_optimization_returns_best_feasible():
     rec = res.record
     # candidates start once the continuation ramps have finished; iteration
     # `ramp` is the first one evaluated at the final penalization
-    first = int(round(case.penal_ramp_fraction * case.iterations)) - 1
+    first = int(round(opt.CONTINUATION_FRACTION * case.iterations)) - 1
     feasible = [
         i
         for i in range(first, len(rec))
@@ -333,6 +329,24 @@ def test_run_optimization_keeps_partial_result_on_failure(monkeypatch, error):
     assert res.abort_reason == str(error)
     assert len(res.record) == 29
     assert res.best_iteration <= 29
+
+
+def test_run_optimization_keeps_iterations_before_final_exponent(monkeypatch):
+    # a failure during the SIMP continuation still returns what was completed
+    calls = {"n": 0}
+    real = opt.p_norm_stress
+
+    def failing(stress, agg):
+        calls["n"] += 1
+        if calls["n"] == 5:
+            raise ad.NumericDomainError("log of a non-positive value", node=2)
+        return real(stress, agg)
+
+    monkeypatch.setattr(opt, "p_norm_stress", failing)
+    res = tf.run_optimization(_tiny_case())
+    assert res.aborted
+    assert len(res.record) == 4
+    assert 1 <= res.best_iteration <= 4
 
 
 def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):

@@ -119,8 +119,10 @@ def test_filter_adjoint_matches_dense_jacobian_chain(rng):
     assert rel_err(adj, grad) < 1e-12
 
 
-def _stress_setup(nelx, nely, rho_vals, sigma_allow=2.0, load_node=None, excluded=()):
-    mesh, fixed, f = cantilever_problem(nelx, nely, load_dof_y=load_node)
+def _stress_setup(
+    nelx, nely, rho_vals, sigma_allow=2.0, load_node=None, excluded=(), elem_size=1.0
+):
+    mesh, fixed, f = cantilever_problem(nelx, nely, load_dof_y=load_node, elem_size=elem_size)
     mat = tf.MaterialModel()
     agg = tf.StressAggregate(sigma_allow, 8.0, excluded=excluded)
     t = ad.Tape()
@@ -170,10 +172,12 @@ def test_stress_adjoint_matches_fd(rng):
 
 
 def test_stress_adjoint_matches_tape(rng):
-    for nelx, nely, excluded in [(3, 2, ()), (5, 3, ()), (6, 4, ()), (6, 4, (0, 5, 17))]:
+    # the last instance checks that the oracle follows the element size
+    cases = [(3, 2, (), 1), (5, 3, (), 1), (6, 4, (), 1), (6, 4, (0, 5, 17), 1), (5, 3, (), 2)]
+    for nelx, nely, excluded, elem_size in cases:
         rho0 = rng.uniform(0.2, 1.0, nelx * nely)
         _m, mat, _fx, _f, agg, t, rho, system, stress, pn = _stress_setup(
-            nelx, nely, rho0, excluded=excluded
+            nelx, nely, rho0, excluded=excluded, elem_size=elem_size
         )
         g_tape = t.backward(pn).of(rho)
         g_adj = oracle.stress_adjoint_gradient(system, stress, agg, mat)
