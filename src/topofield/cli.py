@@ -124,8 +124,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
+def _parse_case(text: str) -> str:
+    if text not in BENCHMARK_NAMES:
+        raise ValueError(f"expected one of {', '.join(BENCHMARK_NAMES)}, got {text!r}")
+    return text
+
+
 CONFIG_KEYS = {
-    "case": str,
+    "case": _parse_case,
     "nelx": int,
     "nely": int,
     "volfrac": float,
@@ -192,10 +198,11 @@ def case_from_options(options: dict) -> BenchmarkCase:
 # density exports
 
 
-def export_density(field: DensityField, fmt: str, path) -> Path:
+def export_density(field: DensityField, fmt: str, path, elem_size: float = 1.0) -> Path:
     """Write the density grid as pgm (8-bit, 255 = solid, top layer first),
     csv (nely rows x nelx columns, 6 decimals, top layer first), or legacy
-    ASCII vtk structured points with one CELL_DATA scalar named density."""
+    ASCII vtk structured points with one CELL_DATA scalar named density and
+    grid spacing ``elem_size``."""
     path = Path(path)
     grid = field.values
     if grid.min() < -1e-9 or grid.max() > 1.0 + 1e-9:
@@ -214,7 +221,7 @@ def export_density(field: DensityField, fmt: str, path) -> Path:
             fh.write("topofield density field\n")
             fh.write("ASCII\nDATASET STRUCTURED_POINTS\n")
             fh.write(f"DIMENSIONS {field.nelx + 1} {field.nely + 1} 1\n")
-            fh.write("ORIGIN 0 0 0\nSPACING 1 1 1\n")
+            fh.write(f"ORIGIN 0 0 0\nSPACING {elem_size:.15g} {elem_size:.15g} 1\n")
             fh.write(f"CELL_DATA {grid.size}\n")
             fh.write("SCALARS density double 1\nLOOKUP_TABLE default\n")
             flat = grid.ravel()
@@ -257,7 +264,7 @@ def run_case(case: BenchmarkCase, out_root, run_name: str | None = None) -> dict
     result.record.to_csv(run_dir / "convergence.csv")
     export_density(result.printed, "pgm", run_dir / "density.pgm")
     export_density(result.printed, "csv", run_dir / "density.csv")
-    export_density(result.printed, "vtk", run_dir / "density.vtk")
+    export_density(result.printed, "vtk", run_dir / "density.vtk", case.elem_size)
     export_density(result.blueprint, "csv", run_dir / "blueprint.csv")
     save_parameters(run_dir / "weights.ckpt", result.parameters)
     summary = _summary(case, result, run_dir)

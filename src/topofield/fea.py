@@ -2,9 +2,13 @@
 
 Forward quantities (element moduli, displacements, compliance, centroid
 stresses, von Mises aggregation) are recorded as differentiable operations so
-a single backward pass yields design sensitivities. The global stiffness is
-assembled sparse and factorized once per solve; the factorization also serves
-the adjoint solve in the backward pass.
+a single backward pass yields design sensitivities. The free DOFs are
+numbered node by node along the grid's short side, which makes the reduced
+stiffness a band of half-width about 2 min(nelx, nely) + 5. The map from
+element-matrix entries to band slots is built once per mesh and support set
+(:class:`BandPattern`); each solve scatters the element stiffnesses into the
+band with one ``bincount`` and factors it by banded Cholesky. The factor also
+serves the adjoint solve in the backward pass.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import autodiff as ad
 from .autodiff import DiffValue, SolverFailureError
@@ -99,9 +103,78 @@ def simp_modulus(rho: DiffValue, mat: MaterialModel) -> DiffValue:
     return ad.power(rho, mat.penal) * (mat.E0 - mat.Emin) + mat.Emin
 
 
+@dataclass(frozen=True)
+class BandPattern:
+    """Where each element-matrix entry lands in the banded reduced stiffness.
+
+    Free DOFs are numbered node by node along the grid's short side (column
+    by column when nely < nelx, row by row otherwise), so the half-bandwidth
+    is about 2 min(nelx, nely) + 5. ``order[k]`` is the global DOF of band
+    row k. Entry ``entries[m]`` of the flattened (n_elems, 8, 8) element
+    matrices adds into ``slots[m]`` of the flattened LAPACK lower band
+    storage ``ab[i - j, j] = K[i, j]`` of shape (kd + 1, n); entries in fixed
+    rows or columns and above the diagonal are dropped.
+    """
+
+    free_dofs: np.ndarray
+    order: np.ndarray
+    kd: int
+    entries: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: StructuredMesh, fixed_dofs: np.ndarray) -> BandPattern:
+        nodes = np.arange(mesh.n_nodes).reshape(mesh.nely + 1, mesh.nelx + 1)
+        if mesh.nely < mesh.nelx:
+            nodes = nodes.T
+        order = (2 * nodes.reshape(-1, 1) + np.array([0, 1])).ravel()
+        free = np.ones(mesh.n_dofs, dtype=bool)
+        free[fixed_dofs] = False
+        order = order[free[order]]
+        rank = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        r = rank[mesh.dof_map]
+        rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
+        entries = np.flatnonzero((cols >= 0) & (rows >= cols))
+        offset = rows.ravel()[entries] - cols.ravel()[entries]
+        slots = offset * order.size + cols.ravel()[entries]
+        kd = int(offset.max(initial=0))
+        return cls(np.flatnonzero(free), order, kd, entries, slots)
+
+
+# one-slot memo (mesh, fixed-DOF bytes, pattern): a hit returns what a build
+# would, and holding the mesh keeps its id from passing to another mesh
+_pattern_memo: tuple | None = None
+
+
+def band_pattern(mesh: StructuredMesh, fixed_dofs: np.ndarray) -> BandPattern:
+    """The :class:`BandPattern` of this mesh and support set, built once."""
+    global _pattern_memo
+    key, memo = fixed_dofs.tobytes(), _pattern_memo
+    if memo is None or memo[0] is not mesh or memo[1] != key:
+        memo = _pattern_memo = (mesh, key, BandPattern.build(mesh, fixed_dofs))
+    return memo[2]
+
+
+@dataclass(frozen=True)
+class BandCholesky:
+    """K = L L^T with L in LAPACK lower band storage ``band[i - j, j]``;
+    ``L`` and ``U`` (= L^T) are this one stored band."""
+
+    band: np.ndarray
+    L = U = property(lambda self: self)
+
+    @property
+    def nnz(self) -> int:
+        """Stored band entries that lie inside the matrix."""
+        kd = self.band.shape[0] - 1
+        return self.band.size - kd * (kd + 1) // 2
+
+
 class SimpAssembler:
-    """Assembles the reduced global stiffness from densities and supplies the
-    density chain rule for the linear-solve adjoint."""
+    """Assembles the reduced global stiffness in band storage from densities,
+    factors it by banded Cholesky and supplies the density chain rule for
+    the linear-solve adjoint."""
 
     def __init__(self, mesh: StructuredMesh, mat: MaterialModel, fixed_dofs):
         self.mesh = mesh
@@ -112,41 +185,40 @@ class SimpAssembler:
             self.fixed_dofs.min() < 0 or self.fixed_dofs.max() >= mesh.n_dofs
         ):
             raise ValueError("fixed DOF index out of range")
-        self.free_dofs = np.setdiff1d(np.arange(mesh.n_dofs), self.fixed_dofs)
-        self._rows = np.repeat(mesh.dof_map, 8, axis=1).ravel()
-        self._cols = np.tile(mesh.dof_map, (1, 8)).ravel()
-        self._last_reduced: sp.csc_array | None = None
+        self.pattern = band_pattern(mesh, self.fixed_dofs)
+        self.free_dofs = self.pattern.free_dofs
 
-    def assemble(self, rho: np.ndarray) -> sp.csc_array:
+    def assemble(self, rho: np.ndarray) -> np.ndarray:
+        """Reduced stiffness in lower band storage, shape (kd + 1, n_free)."""
+        p = self.pattern
         e_mod = self.mat.modulus(np.asarray(rho, dtype=float))
-        vals = (e_mod[:, None] * self.ke0.ravel()[None, :]).ravel()
-        n = self.mesh.n_dofs
-        full = sp.coo_array((vals, (self._rows, self._cols)), shape=(n, n)).tocsc()
-        reduced = full[self.free_dofs][:, self.free_dofs].tocsc()
-        self._last_reduced = reduced
-        return reduced
+        vals = np.multiply.outer(e_mod, self.ke0.ravel()).ravel()[p.entries]
+        n_band = (p.kd + 1) * p.order.size
+        return np.bincount(p.slots, vals, minlength=n_band).reshape(p.kd + 1, -1)
 
-    def factorize(self, rho: np.ndarray):
+    def factorize(self, rho: np.ndarray) -> BandCholesky:
         if self.free_dofs.size == 0:
             raise SolverFailureError("no free DOFs to solve for")
-        reduced = self.assemble(rho)
+        band = self.assemble(rho)
         try:
-            factor = splu(reduced)
-        except RuntimeError as err:
+            chol = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as err:
             raise SolverFailureError(
-                f"reduced stiffness is singular (smallest pivot 0): {err}"
+                f"reduced stiffness is not positive definite: {err}"
             ) from err
-        pivots = factor.U.diagonal()
-        smallest = pivots[np.argmin(np.abs(pivots))]
-        if abs(smallest) < 1e-12 * np.abs(pivots).max():
+        # Cholesky completes on a stiffness singular up to rounding (a free
+        # rigid-body mode); its pivots diag(L)^2 then span more than 1e12
+        pivots = chol[0] ** 2
+        if not pivots.min() >= 1e-12 * pivots.max():
             raise SolverFailureError(
-                f"reduced stiffness is singular or indefinite; smallest pivot {smallest:.6e}"
+                f"reduced stiffness is singular; smallest pivot {pivots.min():.6e}"
             )
-        return factor
+        return BandCholesky(chol)
 
-    def solve(self, factor, rhs_full: np.ndarray) -> np.ndarray:
+    def solve(self, factor: BandCholesky, rhs_full: np.ndarray) -> np.ndarray:
+        order = self.pattern.order
         out = np.zeros(self.mesh.n_dofs)
-        out[self.free_dofs] = factor.solve(rhs_full[self.free_dofs])
+        out[order] = cho_solve_banded((factor.band, True), rhs_full[order], check_finite=False)
         return out
 
     def density_vjp(
@@ -162,13 +234,24 @@ class SimpAssembler:
 class StiffnessSystem:
     """Solve byproducts kept for verification and the analytic oracles."""
 
-    K: sp.csc_array
     free_dofs: np.ndarray
     u: np.ndarray
     KE0: np.ndarray
     mesh: StructuredMesh
     rho: np.ndarray
     mat: MaterialModel
+
+    @property
+    def K(self) -> sp.csc_array:
+        """Reduced stiffness over ``free_dofs`` as a sparse matrix, assembled
+        on each access independently of the banded solver route."""
+        dof_map = self.mesh.dof_map
+        vals = np.multiply.outer(self.mat.modulus(self.rho), self.KE0.ravel()).ravel()
+        rows = np.repeat(dof_map, 8, axis=1).ravel()
+        cols = np.tile(dof_map, (1, 8)).ravel()
+        n = self.mesh.n_dofs
+        full = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
+        return full[self.free_dofs][:, self.free_dofs].tocsc()
 
 
 def assemble_and_solve(
@@ -193,7 +276,6 @@ def assemble_and_solve(
         raise ValueError(f"load vector must have shape ({mesh.n_dofs},)")
     u = ad.linear_solve(assembler, rho, f)
     system = StiffnessSystem(
-        K=assembler._last_reduced,
         free_dofs=assembler.free_dofs,
         u=u.value,
         KE0=assembler.ke0,

@@ -114,18 +114,20 @@ def test_export_csv_roundtrip(tmp_path):
 
 def test_export_vtk_structure(tmp_path):
     field = DensityField(np.linspace(0, 1, 12).reshape(3, 4), kind="printed")
-    path = cli.export_density(field, "vtk", tmp_path / "d.vtk")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
-    assert "ASCII" in lines
-    assert "DATASET STRUCTURED_POINTS" in lines
-    assert "DIMENSIONS 5 4 1" in lines
-    assert "CELL_DATA 12" in lines
-    assert "SCALARS density double 1" in lines
-    start = lines.index("LOOKUP_TABLE default") + 1
-    values = np.array([float(v) for line in lines[start:] for v in line.split()])
-    assert values.size == 12
-    assert np.abs(values - field.flat).max() < 1e-6
+    for elem_size, spacing in ((1.0, "SPACING 1 1 1"), (2, "SPACING 2 2 1")):
+        path = cli.export_density(field, "vtk", tmp_path / "d.vtk", elem_size)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# vtk DataFile")
+        assert "ASCII" in lines
+        assert "DATASET STRUCTURED_POINTS" in lines
+        assert "DIMENSIONS 5 4 1" in lines
+        assert spacing in lines
+        assert "CELL_DATA 12" in lines
+        assert "SCALARS density double 1" in lines
+        start = lines.index("LOOKUP_TABLE default") + 1
+        values = np.array([float(v) for line in lines[start:] for v in line.split()])
+        assert values.size == 12
+        assert np.abs(values - field.flat).max() < 1e-6
 
 
 def test_export_rejects_out_of_range(tmp_path):
@@ -219,11 +221,17 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_custom_case_is_usage_error(tmp_path, capsys):
-    # no flag can give the custom case its supports and loads
+    # no flag or config key can give the custom case its supports and loads
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "--case", "custom", "--out-dir", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "invalid choice: 'custom'" in capsys.readouterr().err
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("case = custom\niters = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "bad value for 'case'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_compare_tiny_mesh_table(tmp_path):

@@ -155,21 +155,46 @@ def test_material_model_validation():
         tf.MaterialModel(penal=0.5)
 
 
+def _pinned_beam(nelx, nely):
+    """Simply supported beam: three-DOF pin supports at the bottom corners."""
+    case = tf.preset("simply_supported", nelx=nelx, nely=nely)
+    mesh = tf.build_mesh(nelx, nely)
+    fixed, f, _passive = case.build_problem(mesh)
+    return mesh, fixed, f
+
+
 def test_solve_solid_beam_matches_dense():
-    mesh, fixed, f = cantilever_problem(2, 1)
+    # the solid 2 x 1 cantilever, then wide (column-by-column band order)
+    # and tall (row-by-row) meshes on pins and then, on the same mesh
+    # objects, on a clamped edge, at random densities down to 1e-3
+    rng = np.random.default_rng(4)
+    wide, tall = _pinned_beam(9, 4), _pinned_beam(4, 9)
+    problems = [
+        (cantilever_problem(2, 1), None),
+        (wide, 1e-3),
+        ((wide[0],) + cantilever_problem(9, 4)[1:], 1e-3),
+        (tall, 1e-3),
+        ((tall[0],) + cantilever_problem(4, 9)[1:], 1e-3),
+    ]
     mat = tf.MaterialModel()
-    t = ad.Tape()
-    rho = t.leaf(np.ones(2))
-    u, system = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
-    ke = fea.element_stiffness_unit(mat.nu) * mat.E0
-    kg = np.zeros((mesh.n_dofs, mesh.n_dofs))
-    for e in range(mesh.n_elems):
-        dofs = mesh.dof_map[e]
-        kg[np.ix_(dofs, dofs)] += ke
-    free = system.free_dofs
-    dense = np.zeros(mesh.n_dofs)
-    dense[free] = np.linalg.solve(kg[np.ix_(free, free)], f[free])
-    assert rel_err(u.value, dense) < 1e-12
+    for (mesh, fixed, f), low in problems:
+        rho_val = np.ones(mesh.n_elems) if low is None else rng.uniform(low, 1.0, mesh.n_elems)
+        t = ad.Tape()
+        u, system = tf.assemble_and_solve(t.leaf(rho_val), mesh, mat, fixed, f)
+        ke = fea.element_stiffness_unit(mat.nu)
+        kg = np.zeros((mesh.n_dofs, mesh.n_dofs))
+        for e in range(mesh.n_elems):
+            dofs = mesh.dof_map[e]
+            kg[np.ix_(dofs, dofs)] += mat.modulus(rho_val[e]) * ke
+        free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
+        assert np.array_equal(system.free_dofs, free)
+        dense = np.zeros(mesh.n_dofs)
+        dense[free] = np.linalg.solve(kg[np.ix_(free, free)], f[free])
+        tol = 1e-12 if low is None else 1e-10
+        assert rel_err(u.value, dense) < tol, (mesh.nelx, mesh.nely)
+        assert np.all(u.value[fixed] == 0.0)
+        band = fea.band_pattern(mesh, np.unique(fixed))
+        assert band.kd <= 2 * min(mesh.nelx, mesh.nely) + 5
 
 
 def test_zero_load_zero_displacement_and_linearity():
@@ -205,6 +230,12 @@ def test_under_constrained_raises():
         tf.assemble_and_solve(
             t.leaf(np.full(4, 0.5)), mesh, tf.MaterialModel(), np.array([0, 1]), f
         )
+    # enough fixed DOFs to pass the count, yet free to translate in y: the
+    # factorization itself must see the singular stiffness
+    mesh, _fixed, f = cantilever_problem(4, 2)
+    left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
+    with pytest.raises(ad.SolverFailureError):
+        tf.assemble_and_solve(t.leaf(np.ones(8)), mesh, tf.MaterialModel(), 2 * left, f)
 
 
 def _uniform_strain_stress(mesh, mat, exx, eyy, gxy, rho_val):
