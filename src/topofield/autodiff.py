@@ -235,28 +235,35 @@ def power(x: DiffValue, exponent: float) -> DiffValue:
     """
     c = float(exponent)
     xv = x.value
-    nid = len(x.tape)
-    if c != round(c) and np.any(xv < 0.0):
-        raise NumericDomainError("fractional power of a negative base", node=nid)
-    if c < 0 and np.any(xv == 0.0):
-        raise NumericDomainError("negative power of zero", node=nid)
+    check_power_domain(xv, c, len(x.tape))
     val = xv ** c
 
     def vjp(g):
         if c == 0.0:
             return (np.zeros_like(xv),)
-        if c >= 1.0:
-            local = c * xv ** (c - 1.0)
-        else:
-            # x^(c-1) overflows once x underflows into the subnormal band;
-            # the forward value carries no precision there, so those entries
-            # get the same zero derivative as the exact-zero case
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                local = np.where(xv != 0.0, c * xv ** (c - 1.0), 0.0)
-                local = np.where(np.isfinite(local), local, 0.0)
-        return (g * local,)
+        return (g * power_derivative(xv, c),)
 
     return x.tape._record(val, (x.nid,), vjp)
+
+
+def check_power_domain(xv: np.ndarray, c: float, node: int | None) -> None:
+    """Raise :class:`NumericDomainError` where x**c leaves the reals."""
+    if c != round(c) and np.any(xv < 0.0):
+        raise NumericDomainError("fractional power of a negative base", node=node)
+    if c < 0 and np.any(xv == 0.0):
+        raise NumericDomainError("negative power of zero", node=node)
+
+
+def power_derivative(xv: np.ndarray, c: float) -> np.ndarray:
+    """d(x**c)/dx for c != 0, taken as 0 at x == 0 when c < 1."""
+    if c >= 1.0:
+        return c * xv ** (c - 1.0)
+    # x^(c-1) overflows once x underflows into the subnormal band; the forward
+    # value carries no precision there, so those entries get the same zero
+    # derivative as the exact-zero case
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        local = np.where(xv != 0.0, c * xv ** (c - 1.0), 0.0)
+        return np.where(np.isfinite(local), local, 0.0)
 
 
 def sqrt(x: DiffValue) -> DiffValue:

@@ -232,7 +232,10 @@ class SimpAssembler:
 
 @dataclass
 class StiffnessSystem:
-    """Solve byproducts kept for verification and the analytic oracles."""
+    """Solve byproducts kept for verification and the analytic oracles.
+
+    ``rho`` and ``u`` are the arrays of the solve's DiffValues, not copies.
+    """
 
     free_dofs: np.ndarray
     u: np.ndarray
@@ -280,7 +283,7 @@ def assemble_and_solve(
         u=u.value,
         KE0=assembler.ke0,
         mesh=mesh,
-        rho=np.array(rho.value),
+        rho=rho.value,
         mat=mat,
     )
     return u, system

@@ -80,28 +80,77 @@ def cheb_layer_forward(
     h: DiffValue, graph: ElementGraph, params: ChebLayerParams, activation: str = "relu"
 ) -> DiffValue:
     """One spectral convolution: T_0 H = H, T_1 H = L H, T_k H recursively."""
-    lap = graph.laplacian_scaled
     w0 = params.weights[0]
     in_dim = w0.shape[0] if not isinstance(w0, DiffValue) else w0.value.shape[0]
     if h.value.ndim != 2 or h.value.shape[1] != in_dim:
         raise ValueError(
             f"feature matrix shape {h.value.shape} does not match weight fan-in {in_dim}"
         )
-    out = ad.matmul(h, params.weights[0])
+    terms = _chebyshev_terms(h, graph.laplacian_scaled, params.order)
+    return _combine(terms, params, activation)
+
+
+def _chebyshev_terms(h, lap, order: int):
+    """T_0 H, ..., T_order H, each made only when the previous one is used, so
+    a DiffValue H records the recursion interleaved with the weight products;
+    an ndarray H stays off the tape."""
+    matmul = ad.matmul if isinstance(h, DiffValue) else (lambda a, b: a @ b)
+    yield h
     t_prev, t_cur = None, h
-    for k in range(1, params.order + 1):
+    for k in range(1, order + 1):
         if k == 1:
-            t_next = ad.matmul(lap, h)
+            t_next = matmul(lap, h)
         else:
-            t_next = 2.0 * ad.matmul(lap, t_cur) - t_prev
-        out = out + ad.matmul(t_next, params.weights[k])
+            t_next = 2.0 * matmul(lap, t_cur) - t_prev
+        yield t_next
         t_prev, t_cur = t_cur, t_next
+
+
+def _combine(terms, params: ChebLayerParams, activation: str) -> DiffValue:
+    """T_0 H W_0 + T_1 H W_1 + ... + bias, summed in that order, then the
+    activation."""
+    out = None
+    for term, weight in zip(terms, params.weights):
+        product = ad.matmul(term, weight)
+        out = product if out is None else out + product
     out = out + params.bias
     if activation == "relu":
         return ad.relu(out)
     if activation == "none":
         return out
     raise ValueError(f"unknown activation {activation!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ChebyshevBasis:
+    """The first layer's constant terms [T_0 X, ..., T_K X] for one feature
+    matrix X on one graph."""
+
+    terms: tuple
+    graph: ElementGraph
+
+    @property
+    def order(self) -> int:
+        return len(self.terms) - 1
+
+
+def chebyshev_basis(
+    features: FourierFeatures | np.ndarray, graph: ElementGraph, order: int
+) -> ChebyshevBasis:
+    """Build the first layer's Chebyshev terms once, off the tape.
+
+    The features are constant through a run, so their products with the
+    Laplacian are too; :func:`predict_blueprint` accepts the result in place
+    of the features and then records only the weight products of layer 0.
+    """
+    feats = features.features if isinstance(features, FourierFeatures) else features
+    x = np.asarray(feats, dtype=float)
+    if x.ndim != 2 or x.shape[0] != graph.laplacian_scaled.shape[0]:
+        raise ValueError(
+            f"feature matrix shape {x.shape} does not match a graph of "
+            f"{graph.laplacian_scaled.shape[0]} elements"
+        )
+    return ChebyshevBasis(tuple(_chebyshev_terms(x, graph.laplacian_scaled, order)), graph)
 
 
 def leaf_parameters(tape: Tape, layers: list[ChebLayerParams]) -> list[ChebLayerParams]:
@@ -125,7 +174,7 @@ _LOGIT_BOUND = 8.0
 
 
 def predict_blueprint(
-    features: FourierFeatures | np.ndarray,
+    features: ChebyshevBasis | FourierFeatures | np.ndarray,
     graph: ElementGraph,
     layers: list[ChebLayerParams],
     tape: Tape | None = None,
@@ -133,11 +182,15 @@ def predict_blueprint(
     """Blueprint densities in (0, 1): stacked spectral layers, ReLU hidden,
     sigmoid head.
 
+    features is the raw feature matrix or its :func:`chebyshev_basis` on
+    ``graph``, which a loop builds once instead of once per call. Either way
+    the first layer's terms are constants: the tape records no node for them
+    and computes no adjoint of them.
+
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
     head never saturates beyond recovery during training.
     """
-    feats = features.features if isinstance(features, FourierFeatures) else features
     if tape is None:
         for layer in layers:
             if isinstance(layer.bias, DiffValue):
@@ -145,11 +198,24 @@ def predict_blueprint(
                 break
         else:
             raise ValueError("pass a tape when all parameters are constants")
-    h = tape.leaf(np.asarray(feats, dtype=float))
-    for layer in layers[:-1]:
-        h = cheb_layer_forward(h, graph, layer, activation="relu")
-    logits = cheb_layer_forward(h, graph, layers[-1], activation="none")
-    logits = ad.clamp_straight_through(logits, -_LOGIT_BOUND, _LOGIT_BOUND)
+    first = layers[0]
+    if isinstance(features, ChebyshevBasis):
+        basis = features
+        if basis.graph is not graph:
+            raise ValueError("the Chebyshev basis was built on another graph")
+        if basis.order != first.order:
+            raise ValueError(
+                f"basis of order {basis.order} for a layer of order {first.order}"
+            )
+    else:
+        basis = chebyshev_basis(features, graph, first.order)
+    activations = ["relu"] * (len(layers) - 1) + ["none"]
+    # each product needs a tape operand, and the basis is constant
+    weights = [w if isinstance(w, DiffValue) else tape.leaf(w) for w in first.weights]
+    h = _combine(basis.terms, ChebLayerParams(weights, first.bias), activations[0])
+    for layer, activation in zip(layers[1:], activations[1:]):
+        h = cheb_layer_forward(h, graph, layer, activation=activation)
+    logits = ad.clamp_straight_through(h, -_LOGIT_BOUND, _LOGIT_BOUND)
     out = ad.sigmoid(logits)
     return ad.reshape(out, (out.value.shape[0],))
 

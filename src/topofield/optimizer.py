@@ -1,6 +1,7 @@
 """Composite loss, Adam updates, and the end-to-end optimization loop.
 
-Each iteration re-records the whole pipeline on the tape: encode -> predict
+The Fourier features and the first layer's Chebyshev basis are built once per
+run; each iteration re-records the rest of the pipeline on the tape: predict
 blueprint -> overhang filter -> assemble/solve -> compliance and stress ->
 loss -> backward -> Adam. Penalty weights ramp up over the early iterations
 and the returned design is the best feasible iterate, not simply the last.
@@ -29,6 +30,7 @@ from .fea import (
 from .meshgraph import build_element_graph, build_mesh, fourier_encode, normalize_centroids
 from .neuralfield import (
     NetworkConfig,
+    chebyshev_basis,
     init_parameters,
     leaf_parameters,
     parameter_arrays,
@@ -287,6 +289,7 @@ def run_optimization(case) -> OptimizationResult:
         (2 * case.fourier_m, *case.hidden_widths, 1), case.cheb_order, case.seed
     )
     layers = init_parameters(config, volume_target=case.volume_fraction)
+    basis = chebyshev_basis(features, graph, case.cheb_order)
     arrays = parameter_arrays(layers)
     adam = AdamState.for_parameters(arrays, case.learning_rate)
 
@@ -315,7 +318,7 @@ def run_optimization(case) -> OptimizationResult:
         tape.reset()
         leaves = leaf_parameters(tape, layers)
         try:
-            b = predict_blueprint(features, graph, leaves)
+            b = predict_blueprint(basis, graph, leaves)
             if passive is not None and passive.any():
                 b = apply_passive(b, passive)
             rho = apply_filter(b, case.nelx, case.nely, fparams) if case.filter_on else b

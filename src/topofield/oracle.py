@@ -3,7 +3,9 @@
 Three routes are kept deliberately separate from the tape: the layerwise
 multiplier recursion for the overhang filter, the adjoint assembly for the
 aggregated stress, and plain central finite differences. They exist to check
-the automatic gradients, not to drive optimization.
+the automatic gradients, not to drive optimization. The filter route takes
+its forward values from the filter's own sweep (:class:`FilterSweep`) and
+its local partials and recursion from the closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .amfilter import FilterParams
+from .amfilter import FilterParams, FilterSweep
 from .fea import StiffnessSystem, StressAggregate, StressField, constitutive_unit, strain_displacement
 
 
@@ -26,29 +28,16 @@ class AdjointState:
     g_rho: np.ndarray
 
 
-def _filter_forward(blueprint: np.ndarray, params: FilterParams):
-    """Unclamped smooth-filter sweep, keeping the local partials per layer."""
-    p = params.sharpness
-    q = params.root_exponent
-    eps = params.epsilon
-    nely, nelx = blueprint.shape
-    rho = np.zeros_like(blueprint)
-    rho[0] = blueprint[0]
-    ds_db = np.zeros_like(blueprint)
-    ds_de = np.zeros_like(blueprint)
-    de_ds = np.zeros_like(blueprint)
-    for i in range(1, nely):
-        padded = np.concatenate([[0.0], rho[i - 1], [0.0]])
-        s = padded[:-2] ** p + padded[1:-1] ** p + padded[2:] ** p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.where(s > 0, s ** (1.0 / q), 0.0)
-            de_ds[i] = np.where(s > 0, (1.0 / q) * s ** (1.0 / q - 1.0), 0.0)
-        d = blueprint[i] - e
-        root = np.sqrt(d * d + eps)
-        rho[i] = 0.5 * (blueprint[i] + e - root + np.sqrt(eps))
-        ds_db[i] = 0.5 * (1.0 - d / root)
-        ds_de[i] = 0.5 * (1.0 + d / root)
-    return rho, ds_db, ds_de, de_ds
+def _filter_partials(blueprint: np.ndarray, params: FilterParams):
+    """Unclamped printed rows and, per layer above the base, the local
+    partials d rho/d b, d rho/d e and d e/d s of rho = S(b, e), e = s^(1/Q),
+    from the filter's forward sweep."""
+    sweep = FilterSweep(blueprint, params)
+    ratio = sweep.d / sweep.r
+    c = 1.0 / params.root_exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        de_ds = np.where(sweep.s > 0, c * sweep.s ** (c - 1.0), 0.0)
+    return sweep.raw, 0.5 * (1.0 - ratio), 0.5 * (1.0 + ratio), de_ds
 
 
 def filter_adjoint_state(
@@ -70,13 +59,13 @@ def filter_adjoint_state(
     nely, nelx = blueprint.shape
     if nely == 1:
         return AdjointState([g_rho[0].copy()], g_rho)
-    rho, _ds_db, ds_de, de_ds = _filter_forward(blueprint, params)
+    rho, _ds_db, ds_de, de_ds = _filter_partials(blueprint, params)
     geff = g_rho
     p = params.sharpness
     lam = [None] * nely
     lam[nely - 1] = geff[nely - 1].copy()
     for k in range(nely - 2, -1, -1):
-        t = lam[k + 1] * ds_de[k + 1] * de_ds[k + 1]
+        t = lam[k + 1] * ds_de[k] * de_ds[k]
         padded = np.concatenate([[0.0], t, [0.0]])
         spread = padded[:-2] + padded[1:-1] + padded[2:]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,11 +84,11 @@ def filter_adjoint_gradient(
     nely = blueprint.shape[0]
     if nely == 1:
         return np.asarray(g_rho, dtype=float).copy()
-    _rho, ds_db, _ds_de, _de_ds = _filter_forward(blueprint, params)
+    _rho, ds_db, _ds_de, _de_ds = _filter_partials(blueprint, params)
     grad = np.zeros_like(blueprint)
     grad[0] = state.lambda_layers[0]
     for m in range(1, nely):
-        grad[m] = state.lambda_layers[m] * ds_db[m]
+        grad[m] = state.lambda_layers[m] * ds_db[m - 1]
     return grad
 
 

@@ -25,3 +25,54 @@ def cantilever_problem(nelx, nely, load_dof_y=None, elem_size=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def composed_filter(blueprint, nelx, nely, params):
+    """The smooth filter sweep composed on the tape from the public
+    surrogates, one node per elementwise step: the independent reference for
+    :func:`topofield.amfilter.apply_filter`'s single-operation VJP."""
+    from topofield import autodiff as ad
+    from topofield.amfilter import smooth_max, smooth_min
+
+    if nely == 1:
+        return blueprint
+    left_idx = np.maximum(np.arange(nelx) - 1, 0)
+    right_idx = np.minimum(np.arange(nelx) + 1, nelx - 1)
+    left_mask = np.ones(nelx)
+    left_mask[0] = 0.0
+    right_mask = np.ones(nelx)
+    right_mask[-1] = 0.0
+    rows = [ad.gather(blueprint, np.arange(nelx))]
+    for i in range(1, nely):
+        b_i = ad.gather(blueprint, np.arange(i * nelx, (i + 1) * nelx))
+        prev = rows[-1]
+        below_left = ad.gather(prev, left_idx) * left_mask
+        below_right = ad.gather(prev, right_idx) * right_mask
+        support_max = smooth_max((below_left, prev, below_right), params)
+        rows.append(smooth_min(b_i, support_max, params))
+    return ad.clamp_straight_through(ad.concat(rows), 0.0, 1.0)
+
+
+def composed_blueprint(features, graph, layers, tape):
+    """The network's blueprint with the feature matrix as a tape leaf and
+    every Chebyshev recursion step recorded: the reference for
+    :func:`topofield.neuralfield.predict_blueprint`, which keeps the first
+    layer's terms off the tape."""
+    from topofield import autodiff as ad
+
+    lap = graph.laplacian_scaled
+    h = tape.leaf(np.asarray(features, dtype=float))
+    for index, layer in enumerate(layers):
+        out = ad.matmul(h, layer.weights[0])
+        t_prev, t_cur = None, h
+        for k in range(1, len(layer.weights)):
+            if k == 1:
+                t_next = ad.matmul(lap, h)
+            else:
+                t_next = 2.0 * ad.matmul(lap, t_cur) - t_prev
+            out = out + ad.matmul(t_next, layer.weights[k])
+            t_prev, t_cur = t_cur, t_next
+        out = out + layer.bias
+        h = ad.relu(out) if index < len(layers) - 1 else out
+    out = ad.sigmoid(ad.clamp_straight_through(h, -8.0, 8.0))
+    return ad.reshape(out, (out.value.shape[0],))

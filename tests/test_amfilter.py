@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topofield as tf
 from topofield import autodiff as ad
@@ -18,7 +20,7 @@ from topofield.amfilter import (
 )
 from topofield.oracle import finite_difference_gradient
 
-from conftest import rel_err
+from conftest import composed_filter, rel_err
 
 
 def test_root_exponent_relation():
@@ -199,6 +201,73 @@ def test_filter_gradient_matches_fd(rng):
 def test_filter_wrong_length_rejected():
     with pytest.raises(ValueError):
         apply_filter(np.ones(7), 3, 2, FilterParams())
+    t = ad.Tape()
+    with pytest.raises(ValueError):
+        apply_filter(t.leaf(np.ones(7)), 3, 2, FilterParams())
+    assert len(t) == 1
+
+
+@st.composite
+def _filter_instances(draw):
+    nelx = draw(st.integers(1, 12))
+    nely = draw(st.integers(1, 12))
+    integer = st.integers(1, 120).map(float)
+    fractional = st.floats(0.5, 120.0).filter(lambda p: p != round(p))
+    sharpness = draw(st.one_of(integer, fractional))
+    epsilon = 10.0 ** draw(st.floats(-10.0, -0.5))
+    density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    values = draw(st.lists(density, min_size=nelx * nely, max_size=nelx * nely))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nelx, nely, FilterParams(epsilon, sharpness), np.array(values), seed
+
+
+def _filter_pass(fn, values, nelx, nely, params, cotangent):
+    """(values, gradient) of fn on a fresh tape, or the exception type."""
+    t = ad.Tape()
+    b = t.leaf(values)
+    try:
+        out = fn(b, nelx, nely, params)
+    except ad.NumericDomainError as err:
+        return type(err)
+    return out.value, t.backward((out * cotangent).sum()).of(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_instances())
+def test_fused_filter_equals_composed_sweep(instance):
+    # the one-op filter against the sweep composed from smooth_min/smooth_max
+    # node by node: same values and same gradient, bit for bit
+    nelx, nely, params, values, seed = instance
+    cotangent = np.random.default_rng(seed).standard_normal(values.size)
+    fused = _filter_pass(apply_filter, values, nelx, nely, params, cotangent)
+    composed = _filter_pass(composed_filter, values, nelx, nely, params, cotangent)
+    if isinstance(composed, type):
+        assert fused is composed
+        return
+    # below a sharpness of log2(3) the root exponent is negative, and a tiny
+    # support sum overflows both into the same infs and nans
+    assert np.array_equal(fused[0], composed[0], equal_nan=True)
+    assert np.array_equal(fused[1], composed[1], equal_nan=True)
+    plain = apply_filter(values, nelx, nely, params)
+    assert np.array_equal(plain, composed[0], equal_nan=True)
+
+
+def test_filter_records_one_node(rng):
+    t = ad.Tape()
+    b = t.leaf(rng.uniform(0.0, 1.0, 20 * 60))
+    before = len(t)
+    apply_filter(b, 20, 60, FilterParams())
+    assert len(t) - before == 1
+
+
+def test_filter_negative_density_at_fractional_sharpness_raises():
+    values = np.full(12, 0.5)
+    values[1] = -0.25  # base layer: every layer above reads it
+    for blueprint in (values, ad.Tape().leaf(values)):
+        with pytest.raises(ad.NumericDomainError):
+            apply_filter(blueprint, 4, 3, FilterParams(sharpness=40.5))
+    # at an integer sharpness the power sum stays real
+    assert np.all(np.isfinite(apply_filter(values, 4, 3, FilterParams(sharpness=40.0))))
 
 
 def test_apply_passive_pins_and_blocks_gradient():

@@ -8,7 +8,7 @@ from topofield import neuralfield as nf
 from topofield.meshgraph import ElementGraph, build_element_graph, build_mesh, fourier_encode, normalize_centroids
 from topofield.oracle import finite_difference_gradient
 
-from conftest import rel_err
+from conftest import composed_blueprint, rel_err
 
 
 def _zero_laplacian_graph(n):
@@ -213,3 +213,61 @@ def test_network_config_validation():
         nf.NetworkConfig((4, 2))
     with pytest.raises(ValueError):
         nf.NetworkConfig((4, 4, 1), cheb_order=-1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_blueprint_equals_feature_leaf_composition(order):
+    # values and every weight gradient equal the network with the features as
+    # a leaf and the first layer's recursion on the tape, bit for bit
+    mesh = build_mesh(7, 5)
+    graph = build_element_graph(mesh)
+    feats = fourier_encode(normalize_centroids(mesh), 4, 2.0, 0).features
+    layers = nf.init_parameters(nf.NetworkConfig((8, 6, 5, 1), cheb_order=order, seed=order))
+    w = np.random.default_rng(order).standard_normal(mesh.n_elems)
+    basis = nf.chebyshev_basis(feats, graph, order)
+    routes = {
+        "basis": lambda leaves: nf.predict_blueprint(basis, graph, leaves),
+        "raw": lambda leaves: nf.predict_blueprint(feats, graph, leaves),
+        "reference": lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape),
+    }
+    results = {}
+    for name, route in routes.items():
+        t = ad.Tape()
+        leaves = nf.leaf_parameters(t, layers)
+        before = len(t)
+        b = route(leaves)
+        nodes = len(t) - before
+        grads = t.backward((b * w).sum())
+        results[name] = (b.value, [grads.of(x) for x in nf.parameter_arrays(leaves)], nodes)
+    ref_value, ref_grads, ref_nodes = results["reference"]
+    for name in ("basis", "raw"):
+        value, grads, nodes = results[name]
+        assert np.array_equal(value, ref_value), name
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads)), name
+        # no node for the feature leaf, its `order` Laplacian products and the
+        # two steps (scale, subtract) of each later recursion term
+        assert ref_nodes - nodes == 1 + order + 2 * max(order - 1, 0), name
+    t = ad.Tape()  # constant parameters: the same values
+    assert np.array_equal(nf.predict_blueprint(basis, graph, layers, tape=t).value, ref_value)
+
+
+def test_basis_is_never_served_to_another_graph_or_features(rng):
+    mesh = build_mesh(4, 3)
+    graph = build_element_graph(mesh)
+    twin = build_element_graph(mesh)  # equal values, another object
+    feats = rng.standard_normal((mesh.n_elems, 6))
+    layers = nf.init_parameters(nf.NetworkConfig((6, 5, 1), cheb_order=2, seed=1))
+    t = ad.Tape()
+    leaves = nf.leaf_parameters(t, layers)
+    with pytest.raises(ValueError):
+        nf.predict_blueprint(nf.chebyshev_basis(feats, graph, 2), twin, leaves)
+    with pytest.raises(ValueError):
+        nf.predict_blueprint(nf.chebyshev_basis(feats, graph, 1), graph, leaves)
+    with pytest.raises(ValueError):
+        nf.chebyshev_basis(feats[:-1], graph, 2)
+    # raw features are expanded on every call, so a second matrix and a
+    # second graph each get their own terms
+    other_graph = build_element_graph(build_mesh(3, 4))
+    for g, x in ((graph, feats), (graph, 2.0 * feats), (other_graph, feats)):
+        got = nf.predict_blueprint(x, g, leaves).value
+        assert np.array_equal(got, composed_blueprint(x, g, leaves, t).value)
