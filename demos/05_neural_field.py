@@ -8,7 +8,7 @@ import numpy as np
 
 from topofield import NetworkConfig, Tape, build_element_graph, build_mesh, init_parameters, predict_blueprint
 from topofield.meshgraph import fourier_encode, normalize_centroids
-from topofield.neuralfield import load_parameters, save_parameters
+from topofield.neuralfield import leaf_parameters, load_parameters, save_parameters
 
 mesh = build_mesh(10, 5)
 graph = build_element_graph(mesh)
@@ -19,7 +19,7 @@ layers = init_parameters(config, volume_target=0.5)
 print("layers:", [(len(l.weights), l.weights[0].shape, l.bias.shape) for l in layers])
 
 tape = Tape()
-b = predict_blueprint(feats, graph, layers, tape=tape)
+b = predict_blueprint(feats, graph, leaf_parameters(tape, layers))
 print(f"blueprint: shape {b.value.shape}, range ({b.value.min():.3f}, {b.value.max():.3f}), "
       f"mean {b.value.mean():.3f}")
 

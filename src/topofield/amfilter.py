@@ -24,7 +24,8 @@ class FilterParams:
 
     epsilon controls the smooth-min regularization, sharpness the power-sum
     exponent of the smooth max. The root exponent is calibrated so that a
-    uniform 3-element support at density 1/2 maps to itself exactly.
+    uniform 3-element support at density 1/2 maps to itself exactly; it is
+    sharpness - log2(3) and must be positive.
     """
 
     epsilon: float = 1e-4
@@ -33,8 +34,10 @@ class FilterParams:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
+        if not self.root_exponent > 0:
+            raise ValueError(
+                f"sharpness must exceed log2(3) = {math.log2(3):.6f}, got {self.sharpness!r}"
+            )
 
     @property
     def root_exponent(self) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 
 
 class NumericDomainError(ArithmeticError):
-    """An operation was evaluated outside its numeric domain (log of a
-    non-positive value, division by zero, fractional power of a negative)."""
+    """An operation was evaluated outside its numeric domain (division by
+    zero, sqrt or fractional power of a negative, negative power of zero)."""
 
     def __init__(self, message: str, node: int | None = None):
         if node is not None:
@@ -281,18 +281,6 @@ def sqrt(x: DiffValue) -> DiffValue:
     return x.tape._record(val, (x.nid,), vjp)
 
 
-def exp(x: DiffValue) -> DiffValue:
-    val = np.exp(x.value)
-    return x.tape._record(val, (x.nid,), lambda g: (g * val,))
-
-
-def log(x: DiffValue) -> DiffValue:
-    xv = x.value
-    if np.any(xv <= 0.0):
-        raise NumericDomainError("log of a non-positive value", node=len(x.tape))
-    return x.tape._record(np.log(xv), (x.nid,), lambda g: (g / xv,))
-
-
 def relu(x: DiffValue) -> DiffValue:
     xv = x.value
     mask = xv > 0.0
@@ -308,13 +296,6 @@ def sigmoid(x: DiffValue) -> DiffValue:
         return (g * val * (1.0 - val),)
 
     return x.tape._record(val, (x.nid,), vjp)
-
-
-def clamp(x: DiffValue, lo: float, hi: float) -> DiffValue:
-    """Clip to [lo, hi]; gradient passes through strictly inside the interval."""
-    xv = x.value
-    inside = (xv > lo) & (xv < hi)
-    return x.tape._record(np.clip(xv, lo, hi), (x.nid,), lambda g: (g * inside,))
 
 
 def clamp_straight_through(x: DiffValue, lo: float, hi: float) -> DiffValue:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amfilter import DensityField
+from .amfilter import DensityField, FilterParams
 from .autodiff import SolverFailureError
 from .meshgraph import StructuredMesh
 from .neuralfield import save_parameters
@@ -64,9 +64,11 @@ class BenchmarkCase:
     stress_exponent: float = 8.0
     volume_feasible_tol: float = 0.01
     stress_feasible_tol: float = 0.02
-    # explicit boundary conditions for name == "custom"
-    custom_fixed_dofs: tuple = ()
-    custom_loads: tuple = ()  # pairs (dof, magnitude)
+
+    def __post_init__(self):
+        # the continuation sharpens geometrically from FILTER_SHARPNESS_START to
+        # filter_sharpness, so a legal target makes every step legal
+        FilterParams(self.filter_epsilon, self.filter_sharpness)
 
     def build_problem(self, mesh: StructuredMesh):
         """Fixed DOFs, load vector, and passive mask for this case.
@@ -90,10 +92,6 @@ class BenchmarkCase:
             left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
             fixed = np.concatenate([2 * left, 2 * left + 1])
             f[2 * mesh.node_id(mesh.nelx, mesh.nely // 2) + 1] = -self.load_scale
-        elif self.name == "custom":
-            fixed = np.asarray(self.custom_fixed_dofs, dtype=np.int64)
-            for dof, mag in self.custom_loads:
-                f[int(dof)] += float(mag) * self.load_scale
         else:
             raise ValueError(f"unknown benchmark case {self.name!r}")
         return np.sort(fixed), f, passive
@@ -101,10 +99,8 @@ class BenchmarkCase:
 
 def preset(name: str, **overrides) -> BenchmarkCase:
     """Benchmark preset by name with keyword overrides."""
-    if name not in BENCHMARK_NAMES + ("custom",):
-        raise ValueError(
-            f"unknown case {name!r}; choose from {', '.join(BENCHMARK_NAMES)} or custom"
-        )
+    if name not in BENCHMARK_NAMES:
+        raise ValueError(f"unknown case {name!r}; choose from {', '.join(BENCHMARK_NAMES)}")
     return BenchmarkCase(name=name, **overrides)
 
 
@@ -246,7 +242,16 @@ def run_case(case: BenchmarkCase, out_root, run_name: str | None = None) -> dict
 
     Artifacts: density image (pgm), density csv + vtk, convergence csv,
     network checkpoint, and a versioned JSON summary. Returns the summary.
+    The run directory is made only once the run has returned.
     """
+    return _write_artifacts(case, run_optimization(case), out_root, run_name)
+
+
+def _write_artifacts(
+    case: BenchmarkCase, result: OptimizationResult, out_root, run_name: str | None = None
+) -> dict:
+    """Write one run's artifact set into a new directory under ``out_root``
+    (named by time, case, condition and seed unless ``run_name`` is given)."""
     out_root = Path(out_root)
     if run_name is None:
         condition = _condition_label(case)
@@ -260,7 +265,6 @@ def run_case(case: BenchmarkCase, out_root, run_name: str | None = None) -> dict
         run_dir = out_root / run_name
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_optimization(case)
     result.record.to_csv(run_dir / "convergence.csv")
     export_density(result.printed, "pgm", run_dir / "density.pgm")
     export_density(result.printed, "csv", run_dir / "density.csv")
@@ -275,9 +279,9 @@ def run_case(case: BenchmarkCase, out_root, run_name: str | None = None) -> dict
 
 
 def _condition_label(case: BenchmarkCase) -> str:
-    if case.filter_on and case.stress_on:
-        return "filter+stress"
-    return "filter" if case.filter_on else "none"
+    """The run's condition: none, filter, stress or filter+stress."""
+    parts = [name for name, on in (("filter", case.filter_on), ("stress", case.stress_on)) if on]
+    return "+".join(parts) or "none"
 
 
 def _summary(case: BenchmarkCase, result: OptimizationResult, run_dir: Path) -> dict:
@@ -306,25 +310,26 @@ def _summary(case: BenchmarkCase, result: OptimizationResult, run_dir: Path) -> 
 
 @dataclass
 class ComparisonResult:
-    """Final compliances of the three conditions for each seed."""
+    """The runs of the three conditions for each seed."""
 
     case_name: str
     seeds: list
-    compliance: dict  # (condition, seed) -> float or None
+    results: dict  # (condition, seed) -> OptimizationResult, or None if it failed
     errors: dict  # (condition, seed) -> str
 
+    def _compliance(self, condition: str, seed: int) -> float | None:
+        result = self.results.get((condition, seed))
+        return None if result is None else result.final_compliance
+
     def ordering_ok(self, seed: int) -> bool | None:
-        vals = [self.compliance.get((label, seed)) for label, _f, _s in CONDITIONS]
+        vals = [self._compliance(label, seed) for label, _f, _s in CONDITIONS]
         if any(v is None for v in vals):
             return None
         return vals[0] <= vals[1] <= vals[2]
 
     def mean(self, condition: str) -> float | None:
-        vals = [
-            self.compliance[(condition, s)]
-            for s in self.seeds
-            if self.compliance.get((condition, s)) is not None
-        ]
+        vals = [self._compliance(condition, s) for s in self.seeds]
+        vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
 
     def render(self) -> str:
@@ -336,7 +341,7 @@ class ComparisonResult:
         for seed in self.seeds:
             cells = []
             for label in labels:
-                val = self.compliance.get((label, seed))
+                val = self._compliance(label, seed)
                 cells.append(("failed" if val is None else f"{val:.6g}").ljust(max(widths, 16)))
             ok = self.ordering_ok(seed)
             mark = "n/a" if ok is None else ("ok" if ok else "VIOLATED")
@@ -353,7 +358,7 @@ class ComparisonResult:
             fh.write("seed,condition,compliance,error\n")
             for seed in self.seeds:
                 for label, _f, _s in CONDITIONS:
-                    val = self.compliance.get((label, seed))
+                    val = self._compliance(label, seed)
                     err = self.errors.get((label, seed), "")
                     fh.write(f"{seed},{label},{'' if val is None else repr(val)},{err}\n")
 
@@ -363,22 +368,20 @@ def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonRe
 
     With ``out_root`` each run also writes its artifact set there.
     """
-    comp: dict = {}
+    results: dict = {}
     errors: dict = {}
     for seed in seeds:
         for label, filt, stress in CONDITIONS:
             run = dataclasses.replace(case, seed=seed, filter_on=filt, stress_on=stress)
             try:
+                result = run_optimization(run)
                 if out_root is not None:
-                    summary = run_case(run, out_root)
-                    comp[(label, seed)] = summary["final_compliance"]
-                else:
-                    result = run_optimization(run)
-                    comp[(label, seed)] = result.final_compliance
+                    _write_artifacts(run, result, out_root)
             except (RuntimeError, *RUN_FAILURES) as err:
-                comp[(label, seed)] = None
+                result = None
                 errors[(label, seed)] = str(err)
-    return ComparisonResult(case.name, list(seeds), comp, errors)
+            results[(label, seed)] = result
+    return ComparisonResult(case.name, list(seeds), results, errors)
 
 
 # ---------------------------------------------------------------------------

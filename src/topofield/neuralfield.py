@@ -177,7 +177,6 @@ def predict_blueprint(
     features: ChebyshevBasis | FourierFeatures | np.ndarray,
     graph: ElementGraph,
     layers: list[ChebLayerParams],
-    tape: Tape | None = None,
 ) -> DiffValue:
     """Blueprint densities in (0, 1): stacked spectral layers, ReLU hidden,
     sigmoid head.
@@ -185,19 +184,13 @@ def predict_blueprint(
     features is the raw feature matrix or its :func:`chebyshev_basis` on
     ``graph``, which a loop builds once instead of once per call. Either way
     the first layer's terms are constants: the tape records no node for them
-    and computes no adjoint of them.
+    and computes no adjoint of them, so the first layer's weights must be
+    tape values (see :func:`leaf_parameters`).
 
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
     head never saturates beyond recovery during training.
     """
-    if tape is None:
-        for layer in layers:
-            if isinstance(layer.bias, DiffValue):
-                tape = layer.bias.tape
-                break
-        else:
-            raise ValueError("pass a tape when all parameters are constants")
     first = layers[0]
     if isinstance(features, ChebyshevBasis):
         basis = features
@@ -210,9 +203,7 @@ def predict_blueprint(
     else:
         basis = chebyshev_basis(features, graph, first.order)
     activations = ["relu"] * (len(layers) - 1) + ["none"]
-    # each product needs a tape operand, and the basis is constant
-    weights = [w if isinstance(w, DiffValue) else tape.leaf(w) for w in first.weights]
-    h = _combine(basis.terms, ChebLayerParams(weights, first.bias), activations[0])
+    h = _combine(basis.terms, first, activations[0])
     for layer, activation in zip(layers[1:], activations[1:]):
         h = cheb_layer_forward(h, graph, layer, activation=activation)
     logits = ad.clamp_straight_through(h, -_LOGIT_BOUND, _LOGIT_BOUND)

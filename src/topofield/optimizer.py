@@ -304,7 +304,7 @@ def run_optimization(case) -> OptimizationResult:
 
     tape = Tape()
     record = ConvergenceRecord()
-    best = None  # (final, feasible, violation, compliance, iter, printed, blueprint)
+    best = None  # (rank, iteration, printed, blueprint)
     aborted, abort_reason = False, ""
     start = time.perf_counter()
 
@@ -349,17 +349,19 @@ def run_optimization(case) -> OptimizationResult:
             max(float(pn.value) - case.stress_feasible_tol, 0.0) if case.stress_on else 0.0
         )
         feasible = vol_gap == 0.0 and pn_gap == 0.0
-        # iterates at the final penalization rank above all earlier ones, which
-        # count only for a run that stops before reaching it
-        candidate = (penal_now == case.penal, feasible, vol_gap + pn_gap, float(c.value), it)
-        if best is None or _better(candidate, best[:5]):
-            best = candidate + (np.array(rho.value), np.array(b.value))
+        # lower ranks first: iterates at the final penalization before all
+        # earlier ones (which count only for a run that stops before reaching
+        # it), then feasible ones, then smaller violation, then lower C; a
+        # feasible iterate's violation is 0, so feasible ones rank by C alone
+        rank = (penal_now != case.penal, not feasible, vol_gap + pn_gap, float(c.value))
+        if best is None or rank < best[0]:
+            best = (rank, it, np.array(rho.value), np.array(b.value))
 
     if best is None:
         raise SolverFailureError(
             f"optimization aborted before completing one iteration: {abort_reason}"
         )
-    _final, feasible, _violation, best_c, best_it, best_rho, best_b = best
+    (_early, infeasible, _violation, best_c), best_it, best_rho, best_b = best
     idx = best_it - 1
     result = OptimizationResult(
         printed=DensityField.from_flat(best_rho, case.nelx, case.nely, "printed"),
@@ -367,7 +369,7 @@ def run_optimization(case) -> OptimizationResult:
         record=record,
         parameters=layers,
         best_iteration=best_it,
-        best_feasible=bool(feasible),
+        best_feasible=not infeasible,
         final_compliance=float(best_c),
         final_volfrac=float(record.volfrac[idx]),
         final_sigma_pn=float(record.sigma_pn[idx]),
@@ -376,19 +378,3 @@ def run_optimization(case) -> OptimizationResult:
     )
     result.wall_time = time.perf_counter() - start
     return result
-
-
-def _better(a, b) -> bool:
-    """Candidate ordering: final penalization first, then feasible, then
-    smaller violation, then lower C."""
-    a_final, a_feas, a_viol, a_c, _ = a
-    b_final, b_feas, b_viol, b_c, _ = b
-    if a_final != b_final:
-        return a_final
-    if a_feas != b_feas:
-        return a_feas
-    if a_feas:
-        return a_c < b_c
-    if a_viol != b_viol:
-        return a_viol < b_viol
-    return a_c < b_c

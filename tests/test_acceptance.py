@@ -1,9 +1,9 @@
 """Acceptance suite: one test per shipped criterion, each printing a
 PASS/FAIL line (run with -s to watch progress).
 
-The benchmark grid (3 cases x 3 conditions x 3 seeds at 60x20) dominates the
-runtime: about 20 s per run, under 9 minutes for the full module on a 2-vCPU
-machine.
+The benchmark grid (3 cases x 3 conditions x 3 seeds at 60x20), one
+``compare_benchmark`` call per case, dominates the runtime: about 8 s per run,
+under 4 minutes for the full module on a 2-vCPU machine.
 """
 
 import math
@@ -41,28 +41,16 @@ def _report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def benchmark_grid():
-    """All 27 benchmark runs, keyed by (case, condition, seed)."""
+    """All 27 benchmark runs, keyed by (case, condition, seed), run through
+    ``compare_benchmark`` once per case."""
     results = {}
     for name in tf.cli.BENCHMARK_NAMES:
-        for label, filt, stress in tf.cli.CONDITIONS:
-            for seed in SEEDS:
-                case = tf.preset(
-                    name,
-                    load_scale=LOAD_SCALE[name],
-                    filter_on=filt,
-                    stress_on=stress,
-                    seed=seed,
-                )
-                t0 = time.perf_counter()
-                results[(name, label, seed)] = tf.run_optimization(case)
-                print(
-                    f"  [{name} | {label} | seed {seed}] "
-                    f"C={results[(name, label, seed)].final_compliance:.4g} "
-                    f"vf={results[(name, label, seed)].final_volfrac:.4f} "
-                    f"pn={results[(name, label, seed)].final_sigma_pn:+.4f} "
-                    f"({time.perf_counter() - t0:.0f}s)",
-                    flush=True,
-                )
+        t0 = time.perf_counter()
+        comparison = tf.compare_benchmark(tf.preset(name, load_scale=LOAD_SCALE[name]), SEEDS)
+        print(f"\n{comparison.render()}\n({time.perf_counter() - t0:.0f}s)", flush=True)
+        assert not comparison.errors, comparison.errors
+        for (label, seed), result in comparison.results.items():
+            results[(name, label, seed)] = result
     return results
 
 

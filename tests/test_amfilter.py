@@ -40,8 +40,11 @@ def test_calibration_identity():
 def test_params_validation():
     with pytest.raises(ValueError):
         FilterParams(epsilon=0.0)
-    with pytest.raises(ValueError):
-        FilterParams(sharpness=-1.0)
+    # the root exponent P - log2(3) must be positive
+    for sharpness in (-1.0, 1.0, math.log2(3)):
+        with pytest.raises(ValueError, match="log2"):
+            FilterParams(sharpness=sharpness)
+    assert FilterParams(sharpness=1.6).root_exponent > 0
 
 
 def test_smooth_min_exact_on_diagonal():
@@ -211,8 +214,9 @@ def test_filter_wrong_length_rejected():
 def _filter_instances(draw):
     nelx = draw(st.integers(1, 12))
     nely = draw(st.integers(1, 12))
-    integer = st.integers(1, 120).map(float)
-    fractional = st.floats(0.5, 120.0).filter(lambda p: p != round(p))
+    # legal sharpness only: above log2(3) = 1.585
+    integer = st.integers(2, 120).map(float)
+    fractional = st.floats(1.6, 120.0).filter(lambda p: p != round(p))
     sharpness = draw(st.one_of(integer, fractional))
     epsilon = 10.0 ** draw(st.floats(-10.0, -0.5))
     density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -244,12 +248,10 @@ def test_fused_filter_equals_composed_sweep(instance):
     if isinstance(composed, type):
         assert fused is composed
         return
-    # below a sharpness of log2(3) the root exponent is negative, and a tiny
-    # support sum overflows both into the same infs and nans
-    assert np.array_equal(fused[0], composed[0], equal_nan=True)
-    assert np.array_equal(fused[1], composed[1], equal_nan=True)
+    assert np.array_equal(fused[0], composed[0])
+    assert np.array_equal(fused[1], composed[1])
     plain = apply_filter(values, nelx, nely, params)
-    assert np.array_equal(plain, composed[0], equal_nan=True)
+    assert np.array_equal(plain, composed[0])
 
 
 def test_filter_records_one_node(rng):

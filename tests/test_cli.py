@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import topofield as tf
 from topofield import cli
 from topofield.amfilter import DensityField
+from topofield.autodiff import SolverFailureError
 
 
 def test_presets_carry_benchmark_constants():
@@ -17,8 +21,9 @@ def test_presets_carry_benchmark_constants():
         assert case.nu == 0.3
         assert case.nelx == 60 and case.nely == 20
         assert case.volume_fraction == 0.5
-    with pytest.raises(ValueError):
-        cli.preset("bogus_case")
+    for name in ("bogus_case", "custom"):
+        with pytest.raises(ValueError):
+            cli.preset(name)
 
 
 def test_simply_supported_problem_layout():
@@ -47,16 +52,6 @@ def test_cantilever_problem_layouts():
     _fixed, f_mid, _passive = mid_case.build_problem(mesh)
     assert f_mid[2 * mesh.node_id(8, 2) + 1] == -mid_case.load_scale
     assert np.count_nonzero(f_mid) == 1
-
-
-def test_custom_case_explicit_dofs():
-    case = cli.preset(
-        "custom", nelx=2, nely=2, custom_fixed_dofs=(0, 1, 5), custom_loads=((7, -2.0),)
-    )
-    mesh = tf.build_mesh(2, 2)
-    fixed, f, _passive = case.build_problem(mesh)
-    assert list(fixed) == [0, 1, 5]
-    assert f[7] == -2.0
 
 
 def test_config_file_parse(tmp_path):
@@ -234,8 +229,52 @@ def test_cli_custom_case_is_usage_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_compare_tiny_mesh_table(tmp_path):
-    case = cli.preset(
+def test_cli_rejects_sharpness_the_filter_cannot_use(tmp_path, capsys):
+    for sharpness in (1.0, math.log2(3)):
+        with pytest.raises(ValueError, match="log2"):
+            cli.preset("tip_cantilever", filter_sharpness=sharpness)
+    assert cli.preset("tip_cantilever", filter_sharpness=1.6).filter_sharpness == 1.6
+    cfg = tmp_path / "soft.cfg"
+    cfg.write_text("case = tip_cantilever\nfilter_sharpness = 1.0\niters = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "log2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_stress_only_run_is_labelled_stress(tmp_path, capsys):
+    args = _smoke_args(tmp_path, ("--iters", "3", "--filter", "off", "--stress", "on"))
+    assert cli.main(args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["condition"] == "stress"
+    assert "-simply_supported-stress-s1" in summary["out_dir"]
+    labels = {
+        (filt, stress): cli._condition_label(
+            cli.preset("tip_cantilever", filter_on=filt, stress_on=stress)
+        )
+        for filt in (False, True)
+        for stress in (False, True)
+    }
+    assert labels == {
+        (False, False): "none",
+        (True, False): "filter",
+        (False, True): "stress",
+        (True, True): "filter+stress",
+    }
+
+
+def test_failed_run_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    def failing(case):
+        raise SolverFailureError("reduced stiffness is singular")
+
+    monkeypatch.setattr(cli, "run_optimization", failing)
+    assert cli.main(_smoke_args(tmp_path / "out")) == 3
+    assert "singular" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _tiny_compare_case():
+    return cli.preset(
         "simply_supported",
         nelx=8,
         nely=3,
@@ -244,7 +283,10 @@ def test_compare_tiny_mesh_table(tmp_path):
         hidden_widths=(12,),
         load_scale=0.25,
     )
-    comparison = cli.compare_benchmark(case, seeds=[0], out_root=None)
+
+
+def test_compare_tiny_mesh_table(tmp_path):
+    comparison = cli.compare_benchmark(_tiny_compare_case(), seeds=[0], out_root=None)
     text = comparison.render()
     assert "case: simply_supported" in text
     assert "ordering" in text
@@ -255,11 +297,36 @@ def test_compare_tiny_mesh_table(tmp_path):
     assert len(lines) == 4  # one seed x three conditions
 
 
+def test_compare_returns_the_runs_and_writes_their_artifacts(tmp_path):
+    # each run equals a direct run_optimization call, and with out_root it
+    # writes the artifact set run_case writes
+    case = _tiny_compare_case()
+    comparison = cli.compare_benchmark(case, seeds=[1], out_root=tmp_path)
+    assert comparison.errors == {}
+    for label, filt, stress in cli.CONDITIONS:
+        got = comparison.results[(label, 1)]
+        want = tf.run_optimization(
+            dataclasses.replace(case, seed=1, filter_on=filt, stress_on=stress)
+        )
+        assert got.record.compliance == want.record.compliance
+        assert got.record.sigma_pn == want.record.sigma_pn
+        assert got.best_iteration == want.best_iteration
+        assert np.array_equal(got.printed.values, want.printed.values)
+        (run_dir,) = tmp_path.glob(f"*-simply_supported-{label}-s1")
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["final_compliance"] == got.final_compliance
+        assert summary["condition"] == label
+        assert len(list(run_dir.iterdir())) == 7
+
+
 def test_comparison_marks_failed_rows():
+    def ran(compliance):
+        return SimpleNamespace(final_compliance=compliance)
+
     comp = cli.ComparisonResult(
         "simply_supported",
         [0],
-        {("none", 0): 10.0, ("filter", 0): None, ("filter+stress", 0): 12.0},
+        {("none", 0): ran(10.0), ("filter", 0): None, ("filter+stress", 0): ran(12.0)},
         {("filter", 0): "solver failure"},
     )
     assert comp.ordering_ok(0) is None

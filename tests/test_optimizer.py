@@ -114,7 +114,7 @@ def test_loss_gradient_matches_fd_through_network():
 
     def loss_value():
         t = ad.Tape()
-        b = nf.predict_blueprint(feats, graph, layers, tape=t)
+        b = nf.predict_blueprint(feats, graph, nf.leaf_parameters(t, layers))
         rho = tf.apply_filter(b, 4, 3, params)
         u, _ = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
         stress = tf.fea.centroid_stress(u, rho, mesh, mat)
@@ -361,7 +361,7 @@ def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):
 
     monkeypatch.setattr(cli, "run_optimization", flaky)
     comparison = cli.compare_benchmark(_tiny_case(iterations=25), seeds=[0])
-    assert comparison.compliance[("filter+stress", 0)] is None
+    assert comparison.results[("filter+stress", 0)] is None
     assert "log of a non-positive value" in comparison.errors[("filter+stress", 0)]
-    assert comparison.compliance[("none", 0)] is not None
-    assert comparison.compliance[("filter", 0)] is not None
+    assert comparison.results[("none", 0)] is not None
+    assert comparison.results[("filter", 0)] is not None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topofield as tf
 from topofield import autodiff as ad
@@ -238,6 +240,71 @@ def test_three_way_agreement_composite(rng):
     )
     assert np.linalg.norm(g_tape - g_adj) <= 1e-8 * (np.linalg.norm(g_tape) + 1e-12)
     assert np.linalg.norm(g_tape - fd) <= 1e-5 * (np.linalg.norm(g_tape) + 1e-8)
+
+
+@st.composite
+def _legal_problems(draw):
+    """A mesh with any element size, one of the three support layouts the
+    presets use, 1-3 loads on free DOFs and a stress limit."""
+    nelx, nely = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    mesh = tf.build_mesh(nelx, nely, draw(st.floats(0.25, 4.0)))
+    supports = draw(st.sampled_from(["clamped left", "clamped base", "pins"]))
+    if supports == "pins":
+        n_bl, n_br = mesh.node_id(0, 0), mesh.node_id(nelx, 0)
+        fixed = np.array([2 * n_bl, 2 * n_bl + 1, 2 * n_br + 1])
+    else:
+        if supports == "clamped left":
+            nodes = np.array([mesh.node_id(0, i) for i in range(nely + 1)])
+        else:
+            nodes = np.array([mesh.node_id(j, 0) for j in range(nelx + 1)])
+        fixed = np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
+    free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
+    f = np.zeros(mesh.n_dofs)
+    for dof in draw(st.lists(st.sampled_from(free.tolist()), min_size=1, max_size=3, unique=True)):
+        f[dof] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 2.0))
+    excluded = tf.fea.point_support_elements(mesh, fixed)
+    agg = tf.StressAggregate(draw(st.floats(0.2, 5.0)), 8.0, excluded=excluded)
+    b0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        0.15, 0.85, mesh.n_elems
+    )
+    return mesh, fixed, f, agg, b0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_legal_problems())
+def test_three_way_agreement_on_legal_inputs(problem):
+    # criterion 1's tolerances on C and sigma_PN, beyond its unit-size
+    # left-clamped meshes: tape against the adjoint oracle and against
+    # central differences
+    mesh, fixed, f, agg, b0 = problem
+    params = tf.FilterParams()
+    mat = tf.MaterialModel()
+
+    def responses(bv):
+        t = ad.Tape()
+        b = t.leaf(bv)
+        rho = tf.apply_filter(b, mesh.nelx, mesh.nely, params)
+        u, system = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
+        stress = tf.fea.centroid_stress(u, rho, mesh, mat)
+        outs = {"C": tf.compliance(u, f), "PN": tf.fea.p_norm_stress(stress, agg)}
+        return t, b, system, stress, outs
+
+    t, b, system, stress, outs = responses(b0)
+    seeds = {
+        "C": oracle.compliance_density_gradient(system),
+        "PN": oracle.stress_adjoint_gradient(system, stress, agg, mat),
+    }
+    grid = (mesh.nely, mesh.nelx)
+    for key, out in outs.items():
+        g_tape = t.backward(out).of(b)
+        g_adj = oracle.filter_adjoint_gradient(
+            b0.reshape(grid), seeds[key].reshape(grid), params
+        ).ravel()
+        fd = oracle.finite_difference_gradient(
+            lambda x, k=key: float(responses(x)[4][k].value), b0.copy(), 1e-6
+        )
+        assert np.linalg.norm(g_tape - g_adj) <= 1e-8 * (np.linalg.norm(g_tape) + 1e-12), key
+        assert np.linalg.norm(g_tape - fd) <= 1e-5 * (np.linalg.norm(g_tape) + 1e-8), key
 
 
 def test_filter_adjoint_shape_mismatch():
