@@ -284,13 +284,17 @@ def sqrt(x: DiffValue) -> DiffValue:
 def relu(x: DiffValue) -> DiffValue:
     xv = x.value
     mask = xv > 0.0
-    return x.tape._record(np.where(mask, xv, 0.0), (x.nid,), lambda g: (g * mask,))
+    return x.tape._record(np.maximum(xv, 0.0), (x.nid,), lambda g: (g * mask,))
+
+
+def logistic(xv: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with no overflow for logits of either sign."""
+    z = np.exp(-np.abs(xv))
+    return np.where(xv >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def sigmoid(x: DiffValue) -> DiffValue:
-    xv = x.value
-    z = np.exp(-np.abs(xv))
-    val = np.where(xv >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    val = logistic(x.value)
 
     def vjp(g):
         return (g * val * (1.0 - val),)
@@ -410,11 +414,12 @@ def linear_solve(assembler, rho: DiffValue, f: np.ndarray) -> DiffValue:
     -lam_e^T (dK_e/drho_e) u_e per element, with the SIMP modulus derivative
     supplying dK_e/drho_e.
     """
-    factor = assembler.factorize(rho.value)
+    rv = rho.value  # the VJP holds no DiffValue, which would tie the tape into a cycle
+    factor = assembler.factorize(rv)
     u = assembler.solve(factor, np.asarray(f, dtype=float))
 
     def vjp(g):
         lam = assembler.solve(factor, g)
-        return (assembler.density_vjp(rho.value, u, lam),)
+        return (assembler.density_vjp(rv, u, lam),)
 
     return rho.tape._record(u, (rho.nid,), vjp)

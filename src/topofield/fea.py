@@ -111,9 +111,11 @@ class BandPattern:
     by column when nely < nelx, row by row otherwise), so the half-bandwidth
     is about 2 min(nelx, nely) + 5. ``order[k]`` is the global DOF of band
     row k. Entry ``entries[m]`` of the flattened (n_elems, 8, 8) element
-    matrices adds into ``slots[m]`` of the flattened LAPACK lower band
-    storage ``ab[i - j, j] = K[i, j]`` of shape (kd + 1, n); entries in fixed
-    rows or columns and above the diagonal are dropped.
+    matrices adds into ``slots[m]`` of the LAPACK lower band storage
+    ``ab[i - j, j] = K[i, j]`` of shape (kd + 1, n), flattened column by
+    column: that is the Fortran order LAPACK factors in place, so the band
+    is never copied. Entries in fixed rows or columns and above the diagonal
+    are dropped.
     """
 
     free_dofs: np.ndarray
@@ -137,8 +139,8 @@ class BandPattern:
         rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
         entries = np.flatnonzero((cols >= 0) & (rows >= cols))
         offset = rows.ravel()[entries] - cols.ravel()[entries]
-        slots = offset * order.size + cols.ravel()[entries]
         kd = int(offset.max(initial=0))
+        slots = cols.ravel()[entries] * (kd + 1) + offset
         return cls(np.flatnonzero(free), order, kd, entries, slots)
 
 
@@ -194,7 +196,7 @@ class SimpAssembler:
         e_mod = self.mat.modulus(np.asarray(rho, dtype=float))
         vals = np.multiply.outer(e_mod, self.ke0.ravel()).ravel()[p.entries]
         n_band = (p.kd + 1) * p.order.size
-        return np.bincount(p.slots, vals, minlength=n_band).reshape(p.kd + 1, -1)
+        return np.bincount(p.slots, vals, minlength=n_band).reshape(-1, p.kd + 1).T
 
     def factorize(self, rho: np.ndarray) -> BandCholesky:
         if self.free_dofs.size == 0:

@@ -4,14 +4,22 @@ Each layer computes sum_k T_k(L_scaled) H W_k + bias using the three-term
 Chebyshev recursion on matrix-vector products (dense polynomial matrices are
 never formed). Hidden layers use ReLU; the output head is a sigmoid that
 emits a blueprint density in (0, 1) per element.
+
+:func:`predict_blueprint` records the whole network as one tape operation
+with a hand-written VJP, like the overhang filter's sweep. Its activations,
+Chebyshev terms and adjoint temporaries live in buffers of the
+:class:`ChebyshevBasis` that a run builds once, so an iteration allocates no
+n x width array; values and weight gradients equal the network composed node
+by node (:func:`cheb_layer_forward`) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
@@ -79,40 +87,21 @@ def init_parameters(
 def cheb_layer_forward(
     h: DiffValue, graph: ElementGraph, params: ChebLayerParams, activation: str = "relu"
 ) -> DiffValue:
-    """One spectral convolution: T_0 H = H, T_1 H = L H, T_k H recursively."""
+    """One spectral convolution composed on the tape, node by node:
+    T_0 H = H, T_1 H = L H, T_k H = 2 L T_{k-1} H - T_{k-2} H."""
     w0 = params.weights[0]
     in_dim = w0.shape[0] if not isinstance(w0, DiffValue) else w0.value.shape[0]
     if h.value.ndim != 2 or h.value.shape[1] != in_dim:
         raise ValueError(
             f"feature matrix shape {h.value.shape} does not match weight fan-in {in_dim}"
         )
-    terms = _chebyshev_terms(h, graph.laplacian_scaled, params.order)
-    return _combine(terms, params, activation)
-
-
-def _chebyshev_terms(h, lap, order: int):
-    """T_0 H, ..., T_order H, each made only when the previous one is used, so
-    a DiffValue H records the recursion interleaved with the weight products;
-    an ndarray H stays off the tape."""
-    matmul = ad.matmul if isinstance(h, DiffValue) else (lambda a, b: a @ b)
-    yield h
+    lap = graph.laplacian_scaled
+    out = ad.matmul(h, w0)
     t_prev, t_cur = None, h
-    for k in range(1, order + 1):
-        if k == 1:
-            t_next = matmul(lap, h)
-        else:
-            t_next = 2.0 * matmul(lap, t_cur) - t_prev
-        yield t_next
+    for k, weight in enumerate(params.weights[1:], start=1):
+        t_next = ad.matmul(lap, h) if k == 1 else 2.0 * ad.matmul(lap, t_cur) - t_prev
+        out = out + ad.matmul(t_next, weight)
         t_prev, t_cur = t_cur, t_next
-
-
-def _combine(terms, params: ChebLayerParams, activation: str) -> DiffValue:
-    """T_0 H W_0 + T_1 H W_1 + ... + bias, summed in that order, then the
-    activation."""
-    out = None
-    for term, weight in zip(terms, params.weights):
-        product = ad.matmul(term, weight)
-        out = product if out is None else out + product
     out = out + params.bias
     if activation == "relu":
         return ad.relu(out)
@@ -121,13 +110,67 @@ def _combine(terms, params: ChebLayerParams, activation: str) -> DiffValue:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _sparse_product(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ x for a CSR or CSC matrix ``a`` and a float64 matrix ``x``.
+
+    Calls the kernel that ``a @ x`` itself runs (the one-vector kernel for a
+    single column), on a zeroed ``out``, so the result is that product bit
+    for bit without a fresh array per call.
+    """
+    # the kernel indexes raw memory: a mis-sized or strided operand would
+    # read or write past it, or fill a copy instead of ``out``
+    rows, cols = a.shape
+    if (
+        a.format not in ("csr", "csc")
+        or x.ndim != 2 or x.shape[0] != cols or x.dtype != np.float64
+        or out.shape != (rows, x.shape[1]) or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"cannot write a {a.shape} @ {x.shape} product into {out.shape}")
+    out.fill(0.0)
+    width = x.shape[1]
+    kernel = getattr(_sparsetools, a.format + ("_matvec" if width == 1 else "_matvecs"))
+    dims = (rows, cols) if width == 1 else (rows, cols, width)
+    kernel(*dims, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    return out
+
+
+def _chebyshev_terms(lap, h: np.ndarray, terms) -> None:
+    """Fill ``terms`` with T_1 H, ..., T_K H by the three-term recursion
+    T_1 H = L H, T_k H = 2 L T_{k-1} H - T_{k-2} H."""
+    t_prev, t_cur = None, h
+    for k, out in enumerate(terms, start=1):
+        _sparse_product(lap, t_cur, out)
+        if k > 1:
+            np.multiply(out, 2.0, out=out)
+            np.subtract(out, t_prev, out=out)
+        t_prev, t_cur = t_cur, out
+
+
+class _Buffers:
+    """Arrays that each pass of the network overwrites, by name and shape,
+    and the number of the pass that wrote them last."""
+
+    def __init__(self):
+        self.arrays: dict = {}
+        self.passes = 0
+
+    def get(self, name, shape: tuple, dtype=float) -> np.ndarray:
+        key = (name, shape, dtype)
+        arr = self.arrays.get(key)
+        if arr is None:
+            arr = self.arrays[key] = np.empty(shape, dtype)
+        return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ChebyshevBasis:
     """The first layer's constant terms [T_0 X, ..., T_K X] for one feature
-    matrix X on one graph."""
+    matrix X on one graph, and the buffers every network pass on it reuses."""
 
     terms: tuple
     graph: ElementGraph
+    _buffers: _Buffers = field(default_factory=_Buffers, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -141,7 +184,7 @@ def chebyshev_basis(
 
     The features are constant through a run, so their products with the
     Laplacian are too; :func:`predict_blueprint` accepts the result in place
-    of the features and then records only the weight products of layer 0.
+    of the features and then computes no adjoint of them.
     """
     feats = features.features if isinstance(features, FourierFeatures) else features
     x = np.asarray(feats, dtype=float)
@@ -150,7 +193,9 @@ def chebyshev_basis(
             f"feature matrix shape {x.shape} does not match a graph of "
             f"{graph.laplacian_scaled.shape[0]} elements"
         )
-    return ChebyshevBasis(tuple(_chebyshev_terms(x, graph.laplacian_scaled, order)), graph)
+    terms = [np.empty(x.shape) for _ in range(order)]
+    _chebyshev_terms(graph.laplacian_scaled, x, terms)
+    return ChebyshevBasis((x, *terms), graph)
 
 
 def leaf_parameters(tape: Tape, layers: list[ChebLayerParams]) -> list[ChebLayerParams]:
@@ -183,9 +228,13 @@ def predict_blueprint(
 
     features is the raw feature matrix or its :func:`chebyshev_basis` on
     ``graph``, which a loop builds once instead of once per call. Either way
-    the first layer's terms are constants: the tape records no node for them
-    and computes no adjoint of them, so the first layer's weights must be
-    tape values (see :func:`leaf_parameters`).
+    the first layer's terms are constants and the parameters are tape values
+    (see :func:`leaf_parameters`).
+
+    The whole network is one tape operation (:class:`NetworkPass`) whose
+    values and weight gradients equal the network composed node by node
+    (:func:`cheb_layer_forward` per layer, then the clamp, the sigmoid and a
+    reshape) bit for bit.
 
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
@@ -202,13 +251,121 @@ def predict_blueprint(
             )
     else:
         basis = chebyshev_basis(features, graph, first.order)
-    activations = ["relu"] * (len(layers) - 1) + ["none"]
-    h = _combine(basis.terms, first, activations[0])
-    for layer, activation in zip(layers[1:], activations[1:]):
-        h = cheb_layer_forward(h, graph, layer, activation=activation)
-    logits = ad.clamp_straight_through(h, -_LOGIT_BOUND, _LOGIT_BOUND)
-    out = ad.sigmoid(logits)
-    return ad.reshape(out, (out.value.shape[0],))
+    params = parameter_arrays(layers)
+    is_leaf = [isinstance(p, DiffValue) for p in params]
+    leaves = [p for p, leaf in zip(params, is_leaf) if leaf]
+    if not leaves:
+        raise TypeError("the network's parameters must be tape values (see leaf_parameters)")
+    net = NetworkPass(basis, layers)
+
+    def vjp(g):
+        return tuple(grad for grad, leaf in zip(net.vjp(g), is_leaf) if leaf)
+
+    out = net.value.reshape(net.value.shape[0])
+    return leaves[0].tape._record(out, tuple(p.nid for p in leaves), vjp)
+
+
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, DiffValue) else np.asarray(x, dtype=float)
+
+
+class NetworkPass:
+    """One forward pass of the network ``layers`` on the buffers of ``basis``.
+
+    Each hidden layer's ReLU output H and its terms T_1 H, ..., T_K H stay in
+    the basis's buffers for the VJP, and the VJP's n x width temporaries live
+    there too. The next pass on the same basis overwrites them, after which
+    this pass's VJP raises instead of reading the other pass's values.
+    """
+
+    def __init__(self, basis: ChebyshevBasis, layers: list[ChebLayerParams]):
+        buffers = basis._buffers
+        buffers.passes += 1
+        self.number = buffers.passes
+        self.basis = basis
+        self.weights = [[_value(w) for w in layer.weights] for layer in layers]
+        self.biases = [_value(layer.bias) for layer in layers]
+        lap = basis.graph.laplacian_scaled
+        n = lap.shape[0]
+        self.terms = [basis.terms]
+        last = len(layers) - 1
+        for index, (weights, bias) in enumerate(zip(self.weights, self.biases)):
+            shape = (n, weights[0].shape[1])
+            out = buffers.get(("layer", index), shape)
+            scratch = buffers.get("scratch", shape)
+            terms = self.terms[index]
+            np.matmul(terms[0], weights[0], out=out)
+            for term, weight in zip(terms[1:], weights[1:]):
+                np.add(out, np.matmul(term, weight, out=scratch), out=out)
+            np.add(out, bias, out=out)
+            if index < last:
+                np.maximum(out, 0.0, out=out)
+                order = len(self.weights[index + 1]) - 1
+                above = [buffers.get(("term", index + 1, k), shape) for k in range(1, order + 1)]
+                _chebyshev_terms(lap, out, above)
+                self.terms.append((out, *above))
+        # the head: a straight-through clamp of the logits, then the sigmoid
+        self.value = ad.logistic(np.clip(out, -_LOGIT_BOUND, _LOGIT_BOUND))
+
+    def vjp(self, g: np.ndarray) -> list:
+        """Adjoints of the parameters, in :func:`parameter_arrays` order,
+        given the adjoint g of the flat blueprint."""
+        buffers = self.basis._buffers
+        if buffers.passes != self.number:
+            raise RuntimeError(
+                "the network's buffers hold a later forward pass on this basis; "
+                "run backward before the next predict_blueprint on it"
+            )
+        lap_t = self.basis.graph.laplacian_scaled.T
+        val = self.value
+        grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
+        adjoints = []
+        for index in range(len(self.weights) - 1, -1, -1):
+            terms, weights = self.terms[index], self.weights[index]
+            layer = [term.T @ grad for term in terms]
+            layer.append(grad.sum(axis=0))
+            adjoints[:0] = layer
+            if index == 0:
+                break
+            h = terms[0]
+            adj = self._input_adjoint(grad, terms, weights, lap_t)
+            mask = np.greater(h, 0.0, out=buffers.get("mask", h.shape, bool))
+            grad = np.multiply(adj, mask, out=buffers.get(("grad", index % 2), h.shape))
+        return adjoints
+
+    def _input_adjoint(self, grad, terms, weights, lap_t) -> np.ndarray:
+        """Adjoint of a layer's input H given the adjoint of its
+        pre-activation, summed in the tape's order: the adjoint of T_j H is
+        -adj(T_{j+2} H), plus L^T adj(T_{j+1} H) (times 2 for j > 0), plus
+        grad W_j^T, each part present only if its term exists."""
+        buffers = self.basis._buffers
+        shape = terms[0].shape
+        order = len(terms) - 1
+        scratch = buffers.get("scratch", shape)
+        adj = [None] * (order + 1)
+        for j in range(order, -1, -1):
+            acc = adj[j] = buffers.get(("adjoint", j % 3), shape)
+            # the first part is written to acc, each later one to scratch and added
+            first = True
+            if j + 2 <= order:
+                np.negative(adj[j + 2], out=acc)
+                first = False
+            if j + 1 <= order:
+                src = adj[j + 1]
+                if j > 0:
+                    src = np.multiply(src, 2.0, out=buffers.get("scaled", shape))
+                _sparse_product(lap_t, src, acc if first else scratch)
+                if not first:
+                    np.add(acc, scratch, out=acc)
+                first = False
+            part = acc if first else scratch
+            if grad.shape[1] == 1:  # one product per entry: exact as a broadcast
+                np.multiply(grad, weights[j].T, out=part)
+            else:
+                np.matmul(grad, weights[j].T, out=part)
+            if not first:
+                np.add(acc, scratch, out=acc)
+        return adj[0]
 
 
 def save_parameters(path, layers: list[ChebLayerParams]) -> None:

@@ -17,6 +17,15 @@ def test_relu_negative_input():
     assert t.backward(y).of(x) == 0.0
 
 
+def test_relu_maps_negative_zero_to_positive_zero():
+    t = ad.Tape()
+    x = t.leaf(np.array([-0.0, 0.0, -1.5, 2.0]))
+    y = ad.relu(x)
+    assert np.array_equal(y.value, [0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(y.value).any()
+    assert np.array_equal(t.backward(y.sum()).of(x), [0.0, 0.0, 0.0, 1.0])
+
+
 def test_sigmoid_at_zero():
     t = ad.Tape()
     x = t.leaf(0.0)

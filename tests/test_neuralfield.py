@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topofield as tf
 from topofield import autodiff as ad
@@ -240,14 +242,13 @@ def test_blueprint_equals_feature_leaf_composition(order):
         nodes = len(t) - before
         grads = t.backward((b * w).sum())
         results[name] = (b.value, [grads.of(x) for x in nf.parameter_arrays(leaves)], nodes)
-    ref_value, ref_grads, ref_nodes = results["reference"]
+    ref_value, ref_grads, _ref_nodes = results["reference"]
     for name in ("basis", "raw"):
         value, grads, nodes = results[name]
         assert np.array_equal(value, ref_value), name
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads)), name
-        # no node for the feature leaf, its `order` Laplacian products and the
-        # two steps (scale, subtract) of each later recursion term
-        assert ref_nodes - nodes == 1 + order + 2 * max(order - 1, 0), name
+        # the whole network is one tape operation
+        assert nodes == 1, name
 
 
 def test_basis_is_never_served_to_another_graph_or_features(rng):
@@ -270,3 +271,106 @@ def test_basis_is_never_served_to_another_graph_or_features(rng):
     for g, x in ((graph, feats), (graph, 2.0 * feats), (other_graph, feats)):
         got = nf.predict_blueprint(x, g, leaves).value
         assert np.array_equal(got, composed_blueprint(x, g, leaves, t).value)
+
+
+@st.composite
+def _networks(draw):
+    nelx = draw(st.integers(1, 8))
+    nely = draw(st.integers(1, 8))
+    depth = draw(st.integers(1, 4))
+    widths = tuple(draw(st.integers(1, 9)) for _ in range(depth)) + (1,)
+    order = draw(st.integers(0, 3))
+    # large weights drive logits past the +-8 clamp
+    scale = draw(st.sampled_from([0.5, 1.0, 4.0, 20.0]))
+    route = draw(st.sampled_from(["basis", "raw"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nelx, nely, widths, order, scale, route, seed
+
+
+def _network_pass(route, layers, cotangent):
+    """(values, weight gradients) of one route on a fresh tape."""
+    t = ad.Tape()
+    leaves = nf.leaf_parameters(t, layers)
+    b = route(leaves)
+    grads = t.backward((b * cotangent).sum())
+    return b.value, [grads.of(x) for x in nf.parameter_arrays(leaves)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks())
+def test_one_op_network_equals_composed_reference(instance):
+    # the one-op network against the network composed node by node: same
+    # values and same gradient of every weight, bit for bit
+    nelx, nely, widths, order, scale, route_name, seed = instance
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(nelx, nely)
+    graph = build_element_graph(mesh)
+    feats = rng.standard_normal((mesh.n_elems, widths[0]))
+    layers = nf.init_parameters(nf.NetworkConfig(widths, cheb_order=order, seed=seed))
+    for layer in layers:
+        layer.weights = [scale * w for w in layer.weights]
+        layer.bias = rng.standard_normal(layer.bias.shape)
+    cotangent = rng.standard_normal(mesh.n_elems)
+    if route_name == "basis":
+        basis = nf.chebyshev_basis(feats, graph, order)
+        route = lambda leaves: nf.predict_blueprint(basis, graph, leaves)  # noqa: E731
+    else:
+        route = lambda leaves: nf.predict_blueprint(feats, graph, leaves)  # noqa: E731
+    value, grads = _network_pass(route, layers, cotangent)
+    ref_value, ref_grads = _network_pass(
+        lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape),
+        layers, cotangent,
+    )
+    assert np.array_equal(value, ref_value)
+    assert len(grads) == len(ref_grads)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
+def test_stale_buffers_refuse_backward(rng):
+    # two forward passes on one basis share its buffers: the first pass's
+    # backward must refuse, never hand back the second pass's gradients
+    mesh = build_mesh(6, 4)
+    graph = build_element_graph(mesh)
+    feats = rng.standard_normal((mesh.n_elems, 5))
+    basis = nf.chebyshev_basis(feats, graph, 2)
+    layers = nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=4))
+    other = nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=5))
+    w = rng.standard_normal(mesh.n_elems)
+    first, second = ad.Tape(), ad.Tape()
+    b1 = nf.predict_blueprint(basis, graph, nf.leaf_parameters(first, layers))
+    leaves2 = nf.leaf_parameters(second, other)
+    b2 = nf.predict_blueprint(basis, graph, leaves2)
+    with pytest.raises(RuntimeError, match="later forward pass"):
+        first.backward((b1 * w).sum())
+    # the latest pass still differentiates, and as often as asked
+    expected = _network_pass(
+        lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape), other, w
+    )
+    for _ in range(2):
+        grads = second.backward((b2 * w).sum())
+        assert np.array_equal(b2.value, expected[0])
+        got = [grads.of(x) for x in nf.parameter_arrays(leaves2)]
+        assert all(np.array_equal(g, r) for g, r in zip(got, expected[1]))
+    # raw features get a basis, and buffers, per call
+    t = ad.Tape()
+    leaves = nf.leaf_parameters(t, layers)
+    b_raw = nf.predict_blueprint(feats, graph, leaves)
+    nf.predict_blueprint(feats, graph, leaves)
+    assert np.all(np.isfinite(t.backward((b_raw * w).sum()).of(leaves[0].bias)))
+
+
+def test_sparse_product_is_the_scipy_product_and_checks_its_operands(rng):
+    lap = build_element_graph(build_mesh(5, 3)).laplacian_scaled
+    for a in (lap, lap.T):
+        for width in (1, 4):
+            x = rng.standard_normal((15, width))
+            out = np.full((15, width), np.nan)
+            assert np.array_equal(nf._sparse_product(a, x, out), a @ x)
+    x = rng.standard_normal((15, 4))
+    for bad_out in (np.empty((14, 4)), np.empty((15, 4), order="F"), np.empty((15, 4), np.float32)):
+        with pytest.raises(ValueError):
+            nf._sparse_product(lap, x, bad_out)
+    with pytest.raises(ValueError):
+        nf._sparse_product(lap, x[:-1], np.empty((15, 4)))
+    with pytest.raises(ValueError):
+        nf._sparse_product(lap.tocoo(), x, np.empty((15, 4)))

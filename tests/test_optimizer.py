@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -365,3 +367,25 @@ def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):
     assert "log of a non-positive value" in comparison.errors[("filter+stress", 0)]
     assert comparison.results[("none", 0)] is not None
     assert comparison.results[("filter", 0)] is not None
+
+
+def test_consecutive_runs_hold_no_memory():
+    # tracemalloc counts live Python allocations, numpy arrays included, so a
+    # finished run's tape kept alive by a reference cycle, or a buffer cache
+    # that outlives its run, shows here; the meshes differ so that a cache
+    # keyed by shape grows too
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        levels = []
+        for nelx in (20, 22, 24):
+            result = tf.run_optimization(
+                tf.preset("tip_cantilever", nelx=nelx, nely=60, iterations=2)
+            )
+            del result
+            levels.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert max(levels[1:]) - levels[0] < 2 * 2**20, levels
