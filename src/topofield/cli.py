@@ -120,6 +120,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
+def _parse_seeds(text: str) -> list[int]:
+    """A comma-separated list of one or more distinct non-negative seeds."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct non-negative seeds, got {text!r}")
+    return seeds
+
+
 def _parse_case(text: str) -> str:
     if text not in BENCHMARK_NAMES:
         raise ValueError(f"expected one of {', '.join(BENCHMARK_NAMES)}, got {text!r}")
@@ -425,7 +436,7 @@ def main(argv=None) -> int:
 
     cmp_p = sub.add_parser("compare", help="run all three conditions per seed")
     _add_common_flags(cmp_p)
-    cmp_p.add_argument("--seeds", type=str, default="0,1,2", help="comma-separated seeds")
+    cmp_p.add_argument("--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seeds")
 
     args = parser.parse_args(argv)
     try:
@@ -443,8 +454,7 @@ def main(argv=None) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    comparison = compare_benchmark(case, seeds, out_dir)
+    comparison = compare_benchmark(case, args.seeds, out_dir)
     print(comparison.render())
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,11 @@ never formed). Hidden layers use ReLU; the output head is a sigmoid that
 emits a blueprint density in (0, 1) per element.
 
 :func:`predict_blueprint` records the whole network as one tape operation
-with a hand-written VJP, like the overhang filter's sweep. Its activations,
-Chebyshev terms and adjoint temporaries live in buffers of the
-:class:`ChebyshevBasis` that a run builds once, so an iteration allocates no
-n x width array; values and weight gradients equal the network composed node
-by node (:func:`cheb_layer_forward`) bit for bit.
+with a hand-written VJP, like the overhang filter's sweep. Each forward pass
+owns its activations and Chebyshev terms; only the VJP's n x width
+temporaries live in buffers of the :class:`ChebyshevBasis` that a run builds
+once, and no VJP reads them past its own return. Values and weight gradients
+equal the network composed on the tape node by node bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
@@ -59,16 +58,14 @@ class NetworkConfig:
             raise ValueError("cheb_order must be >= 0")
 
 
-def init_parameters(
-    config: NetworkConfig, seed: int | None = None, volume_target: float = 0.5
-) -> list[ChebLayerParams]:
+def init_parameters(config: NetworkConfig, volume_target: float = 0.5) -> list[ChebLayerParams]:
     """Deterministic fan-in-scaled initialization.
 
     Weight matrices are uniform in +-sqrt(6/(fan_in+fan_out)); biases start at
     zero except the output bias, which is set to logit(volume_target) so the
     initial mean density sits near the volume budget.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     if not 0.0 < volume_target < 1.0:
         raise ValueError("volume_target must lie in (0, 1)")
     layers = []
@@ -84,76 +81,25 @@ def init_parameters(
     return layers
 
 
-def cheb_layer_forward(
-    h: DiffValue, graph: ElementGraph, params: ChebLayerParams, activation: str = "relu"
-) -> DiffValue:
-    """One spectral convolution composed on the tape, node by node:
-    T_0 H = H, T_1 H = L H, T_k H = 2 L T_{k-1} H - T_{k-2} H."""
-    w0 = params.weights[0]
-    in_dim = w0.shape[0] if not isinstance(w0, DiffValue) else w0.value.shape[0]
-    if h.value.ndim != 2 or h.value.shape[1] != in_dim:
-        raise ValueError(
-            f"feature matrix shape {h.value.shape} does not match weight fan-in {in_dim}"
-        )
-    lap = graph.laplacian_scaled
-    out = ad.matmul(h, w0)
-    t_prev, t_cur = None, h
-    for k, weight in enumerate(params.weights[1:], start=1):
-        t_next = ad.matmul(lap, h) if k == 1 else 2.0 * ad.matmul(lap, t_cur) - t_prev
-        out = out + ad.matmul(t_next, weight)
-        t_prev, t_cur = t_cur, t_next
-    out = out + params.bias
-    if activation == "relu":
-        return ad.relu(out)
-    if activation == "none":
-        return out
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def _sparse_product(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ x for a CSR or CSC matrix ``a`` and a float64 matrix ``x``.
-
-    Calls the kernel that ``a @ x`` itself runs (the one-vector kernel for a
-    single column), on a zeroed ``out``, so the result is that product bit
-    for bit without a fresh array per call.
-    """
-    # the kernel indexes raw memory: a mis-sized or strided operand would
-    # read or write past it, or fill a copy instead of ``out``
-    rows, cols = a.shape
-    if (
-        a.format not in ("csr", "csc")
-        or x.ndim != 2 or x.shape[0] != cols or x.dtype != np.float64
-        or out.shape != (rows, x.shape[1]) or out.dtype != np.float64
-        or not out.flags.c_contiguous
-    ):
-        raise ValueError(f"cannot write a {a.shape} @ {x.shape} product into {out.shape}")
-    out.fill(0.0)
-    width = x.shape[1]
-    kernel = getattr(_sparsetools, a.format + ("_matvec" if width == 1 else "_matvecs"))
-    dims = (rows, cols) if width == 1 else (rows, cols, width)
-    kernel(*dims, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
-    return out
-
-
-def _chebyshev_terms(lap, h: np.ndarray, terms) -> None:
-    """Fill ``terms`` with T_1 H, ..., T_K H by the three-term recursion
+def _chebyshev_terms(lap, h: np.ndarray, order: int) -> list:
+    """[H, T_1 H, ..., T_K H] by the three-term recursion
     T_1 H = L H, T_k H = 2 L T_{k-1} H - T_{k-2} H."""
-    t_prev, t_cur = None, h
-    for k, out in enumerate(terms, start=1):
-        _sparse_product(lap, t_cur, out)
+    terms = [h]
+    for k in range(1, order + 1):
+        term = lap @ terms[-1]
         if k > 1:
-            np.multiply(out, 2.0, out=out)
-            np.subtract(out, t_prev, out=out)
-        t_prev, t_cur = t_cur, out
+            term *= 2.0
+            term -= terms[-2]
+        terms.append(term)
+    return terms
 
 
 class _Buffers:
-    """Arrays that each pass of the network overwrites, by name and shape,
-    and the number of the pass that wrote them last."""
+    """Scratch arrays by name and shape, which every network VJP on one
+    basis overwrites and none reads past its own return."""
 
     def __init__(self):
         self.arrays: dict = {}
-        self.passes = 0
 
     def get(self, name, shape: tuple, dtype=float) -> np.ndarray:
         key = (name, shape, dtype)
@@ -166,7 +112,7 @@ class _Buffers:
 @dataclass(frozen=True, eq=False)
 class ChebyshevBasis:
     """The first layer's constant terms [T_0 X, ..., T_K X] for one feature
-    matrix X on one graph, and the buffers every network pass on it reuses."""
+    matrix X on one graph, and the scratch every network VJP on it reuses."""
 
     terms: tuple
     graph: ElementGraph
@@ -193,9 +139,7 @@ def chebyshev_basis(
             f"feature matrix shape {x.shape} does not match a graph of "
             f"{graph.laplacian_scaled.shape[0]} elements"
         )
-    terms = [np.empty(x.shape) for _ in range(order)]
-    _chebyshev_terms(graph.laplacian_scaled, x, terms)
-    return ChebyshevBasis((x, *terms), graph)
+    return ChebyshevBasis(tuple(_chebyshev_terms(graph.laplacian_scaled, x, order)), graph)
 
 
 def leaf_parameters(tape: Tape, layers: list[ChebLayerParams]) -> list[ChebLayerParams]:
@@ -232,9 +176,10 @@ def predict_blueprint(
     (see :func:`leaf_parameters`).
 
     The whole network is one tape operation (:class:`NetworkPass`) whose
-    values and weight gradients equal the network composed node by node
-    (:func:`cheb_layer_forward` per layer, then the clamp, the sigmoid and a
-    reshape) bit for bit.
+    values and weight gradients equal the network composed on the tape node
+    by node (each layer's recursion, then the clamp, the sigmoid and a
+    reshape) bit for bit. A layer whose weights do not take the width of its
+    input raises ValueError.
 
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
@@ -270,52 +215,47 @@ def _value(x) -> np.ndarray:
 
 
 class NetworkPass:
-    """One forward pass of the network ``layers`` on the buffers of ``basis``.
+    """One forward pass of the network ``layers`` on ``basis``.
 
-    Each hidden layer's ReLU output H and its terms T_1 H, ..., T_K H stay in
-    the basis's buffers for the VJP, and the VJP's n x width temporaries live
-    there too. The next pass on the same basis overwrites them, after which
-    this pass's VJP raises instead of reading the other pass's values.
+    The pass owns each hidden layer's ReLU output H and its terms
+    T_1 H, ..., T_K H, which its VJP reads; any number of passes on one
+    basis can each run their VJP, in any order and as often as asked. The
+    VJP's n x width temporaries live in the basis's scratch, which no VJP
+    reads past its own return.
     """
 
     def __init__(self, basis: ChebyshevBasis, layers: list[ChebLayerParams]):
-        buffers = basis._buffers
-        buffers.passes += 1
-        self.number = buffers.passes
         self.basis = basis
         self.weights = [[_value(w) for w in layer.weights] for layer in layers]
         self.biases = [_value(layer.bias) for layer in layers]
         lap = basis.graph.laplacian_scaled
-        n = lap.shape[0]
         self.terms = [basis.terms]
         last = len(layers) - 1
         for index, (weights, bias) in enumerate(zip(self.weights, self.biases)):
-            shape = (n, weights[0].shape[1])
-            out = buffers.get(("layer", index), shape)
-            scratch = buffers.get("scratch", shape)
             terms = self.terms[index]
-            np.matmul(terms[0], weights[0], out=out)
+            if terms[0].shape[1] != weights[0].shape[0]:
+                raise ValueError(
+                    f"feature matrix shape {terms[0].shape} does not match "
+                    f"weight shape {weights[0].shape} of layer {index}"
+                )
+            out = terms[0] @ weights[0]
             for term, weight in zip(terms[1:], weights[1:]):
-                np.add(out, np.matmul(term, weight, out=scratch), out=out)
-            np.add(out, bias, out=out)
+                out = out + term @ weight
+            out = out + bias
             if index < last:
-                np.maximum(out, 0.0, out=out)
-                order = len(self.weights[index + 1]) - 1
-                above = [buffers.get(("term", index + 1, k), shape) for k in range(1, order + 1)]
-                _chebyshev_terms(lap, out, above)
-                self.terms.append((out, *above))
+                h = np.maximum(out, 0.0)
+                self.terms.append(_chebyshev_terms(lap, h, len(self.weights[index + 1]) - 1))
         # the head: a straight-through clamp of the logits, then the sigmoid
         self.value = ad.logistic(np.clip(out, -_LOGIT_BOUND, _LOGIT_BOUND))
 
     def vjp(self, g: np.ndarray) -> list:
         """Adjoints of the parameters, in :func:`parameter_arrays` order,
         given the adjoint g of the flat blueprint."""
+        # the n x width temporaries come from the basis's scratch: allocated
+        # per call, glibc returned them to the system and faulted them back
+        # each time, about 5,500 minor page faults per iteration against 130
+        # on a 120 x 40 beam, at 59-71 against 56 ms (1 BLAS thread)
         buffers = self.basis._buffers
-        if buffers.passes != self.number:
-            raise RuntimeError(
-                "the network's buffers hold a later forward pass on this basis; "
-                "run backward before the next predict_blueprint on it"
-            )
         lap_t = self.basis.graph.laplacian_scaled.T
         val = self.value
         grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
@@ -330,7 +270,7 @@ class NetworkPass:
             h = terms[0]
             adj = self._input_adjoint(grad, terms, weights, lap_t)
             mask = np.greater(h, 0.0, out=buffers.get("mask", h.shape, bool))
-            grad = np.multiply(adj, mask, out=buffers.get(("grad", index % 2), h.shape))
+            grad = np.multiply(adj, mask, out=buffers.get("grad", h.shape))
         return adjoints
 
     def _input_adjoint(self, grad, terms, weights, lap_t) -> np.ndarray:
@@ -345,26 +285,15 @@ class NetworkPass:
         adj = [None] * (order + 1)
         for j in range(order, -1, -1):
             acc = adj[j] = buffers.get(("adjoint", j % 3), shape)
-            # the first part is written to acc, each later one to scratch and added
-            first = True
-            if j + 2 <= order:
-                np.negative(adj[j + 2], out=acc)
-                first = False
-            if j + 1 <= order:
+            part = np.matmul(grad, weights[j].T, out=acc if j == order else scratch)
+            if j < order:
                 src = adj[j + 1]
                 if j > 0:
                     src = np.multiply(src, 2.0, out=buffers.get("scaled", shape))
-                _sparse_product(lap_t, src, acc if first else scratch)
-                if not first:
-                    np.add(acc, scratch, out=acc)
-                first = False
-            part = acc if first else scratch
-            if grad.shape[1] == 1:  # one product per entry: exact as a broadcast
-                np.multiply(grad, weights[j].T, out=part)
-            else:
-                np.matmul(grad, weights[j].T, out=part)
-            if not first:
-                np.add(acc, scratch, out=acc)
+                lap_part = lap_t @ src
+                if j + 2 <= order:  # L^T a - b is -b + L^T a bit for bit
+                    lap_part -= adj[j + 2]
+                np.add(lap_part, part, out=acc)
         return adj[0]
 
 

@@ -10,8 +10,6 @@ its local partials and recursion from the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.linalg import splu
 
@@ -19,59 +17,48 @@ from .amfilter import FilterParams, FilterSweep
 from .fea import StiffnessSystem, StressAggregate, StressField, constitutive_unit, strain_displacement
 
 
-@dataclass
-class AdjointState:
-    """Layer multipliers from the top-down recursion plus the seeded response
-    sensitivity w.r.t. printed densities."""
-
-    lambda_layers: list
-    g_rho: np.ndarray
-
-
-def _filter_partials(blueprint: np.ndarray, params: FilterParams):
-    """Unclamped printed rows and, per layer above the base, the local
-    partials d rho/d b, d rho/d e and d e/d s of rho = S(b, e), e = s^(1/Q),
-    from the filter's forward sweep."""
-    sweep = FilterSweep(blueprint, params)
-    ratio = sweep.d / sweep.r
-    c = 1.0 / params.root_exponent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        de_ds = np.where(sweep.s > 0, c * sweep.s ** (c - 1.0), 0.0)
-    return sweep.raw, 0.5 * (1.0 - ratio), 0.5 * (1.0 + ratio), de_ds
-
-
 def filter_adjoint_state(
     blueprint: np.ndarray, g_rho: np.ndarray, params: FilterParams
-) -> AdjointState:
-    """Run the top-down multiplier recursion for the smooth filter.
+) -> list:
+    """Run the top-down multiplier recursion for the smooth filter and return
+    the multipliers, one row per layer from the base up.
 
     The top layer's multiplier equals the seeded sensitivity; every lower
     layer adds the back-coupling through the support region of the layer
     above. The recursion runs on the raw surrogate chain (the final [0,1]
     clamp passes gradients straight through), so no masking is applied.
     """
+    return _adjoint_recursion(blueprint, g_rho, params)[0]
+
+
+def _adjoint_recursion(blueprint, g_rho, params: FilterParams):
+    """The multipliers of :func:`filter_adjoint_state` and the partials
+    d rho/d b of the layers above the base, from one forward sweep of the
+    filter. Per layer, rho = S(b, e) with e = s^(1/Q)."""
     blueprint = np.asarray(blueprint, dtype=float)
     g_rho = np.asarray(g_rho, dtype=float)
     if blueprint.shape != g_rho.shape:
         raise ValueError(
             f"blueprint {blueprint.shape} and sensitivity {g_rho.shape} shapes differ"
         )
-    nely, nelx = blueprint.shape
-    if nely == 1:
-        return AdjointState([g_rho[0].copy()], g_rho)
-    rho, _ds_db, ds_de, de_ds = _filter_partials(blueprint, params)
-    geff = g_rho
+    sweep = FilterSweep(blueprint, params)
+    rho, ratio = sweep.raw, sweep.d / sweep.r
+    ds_de = 0.5 * (1.0 + ratio)
+    c = 1.0 / params.root_exponent
     p = params.sharpness
+    with np.errstate(divide="ignore", invalid="ignore"):
+        de_ds = np.where(sweep.s > 0, c * sweep.s ** (c - 1.0), 0.0)
+    nely = blueprint.shape[0]
     lam = [None] * nely
-    lam[nely - 1] = geff[nely - 1].copy()
+    lam[nely - 1] = g_rho[nely - 1].copy()
     for k in range(nely - 2, -1, -1):
         t = lam[k + 1] * ds_de[k] * de_ds[k]
         padded = np.concatenate([[0.0], t, [0.0]])
         spread = padded[:-2] + padded[1:-1] + padded[2:]
         with np.errstate(divide="ignore", invalid="ignore"):
             dpow = np.where(rho[k] > 0, p * rho[k] ** (p - 1.0), 0.0)
-        lam[k] = geff[k] + spread * dpow
-    return AdjointState(lam, g_rho)
+        lam[k] = g_rho[k] + spread * dpow
+    return lam, 0.5 * (1.0 - ratio)
 
 
 def filter_adjoint_gradient(
@@ -79,16 +66,9 @@ def filter_adjoint_gradient(
 ) -> np.ndarray:
     """d(response)/d(blueprint) given d(response)/d(printed), per Lagrange
     multipliers chosen to cancel the cross-layer Jacobians."""
-    blueprint = np.asarray(blueprint, dtype=float)
-    state = filter_adjoint_state(blueprint, g_rho, params)
-    nely = blueprint.shape[0]
-    if nely == 1:
-        return np.asarray(g_rho, dtype=float).copy()
-    _rho, ds_db, _ds_de, _de_ds = _filter_partials(blueprint, params)
-    grad = np.zeros_like(blueprint)
-    grad[0] = state.lambda_layers[0]
-    for m in range(1, nely):
-        grad[m] = state.lambda_layers[m] * ds_db[m - 1]
+    lam, ds_db = _adjoint_recursion(blueprint, g_rho, params)
+    grad = np.array(lam)
+    grad[1:] *= ds_db
     return grad
 
 

@@ -332,3 +332,36 @@ def test_comparison_marks_failed_rows():
     assert comp.ordering_ok(0) is None
     text = comp.render()
     assert "failed" in text
+
+
+@pytest.mark.parametrize("seeds", ["0,x", "", " , ", "0,,1", "1.5", "0,0", "-1"])
+def test_compare_rejects_malformed_seeds_before_running(tmp_path, monkeypatch, capsys, seeds):
+    def must_not_run(case):
+        raise AssertionError("compare ran with malformed seeds")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["compare", "--case", "simply_supported", "--seeds", seeds, "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "error: argument --seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_parses_seeds_with_spaces_and_defaults_to_three(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def record(case):
+        seen.append(case.seed)
+        raise SolverFailureError("stub")
+
+    monkeypatch.setattr(cli, "run_optimization", record)
+    out = tmp_path / "out"
+    args = ["compare", "--case", "simply_supported", "--out-dir", str(out)]
+    assert cli.main([*args, "--seeds", "3, 1"]) == 0
+    assert seen == [3, 3, 3, 1, 1, 1]
+    lines = (out / "comparison-simply_supported.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["3"] * 3 + ["1"] * 3
+    seen.clear()
+    assert cli.main(args) == 0
+    assert seen == [0, 0, 0, 1, 1, 1, 2, 2, 2]

@@ -18,47 +18,47 @@ def _zero_laplacian_graph(n):
     return ElementGraph(zero, np.zeros(n), zero, zero, 0.0)
 
 
+def _one_layer_blueprint(features, graph, weights, bias):
+    t = ad.Tape()
+    leaves = nf.leaf_parameters(t, [nf.ChebLayerParams(weights, bias)])
+    return nf.predict_blueprint(features, graph, leaves).value
+
+
+def _head(logits):
+    return ad.logistic(np.clip(logits, -8.0, 8.0)).ravel()
+
+
 def test_order_zero_is_dense_layer(rng):
     graph = build_element_graph(build_mesh(3, 3))
     h0 = rng.standard_normal((9, 4))
-    w = rng.standard_normal((4, 2))
-    bias = rng.standard_normal(2)
-    t = ad.Tape()
-    out = nf.cheb_layer_forward(
-        t.leaf(h0), graph, nf.ChebLayerParams([w], bias), activation="none"
-    )
-    assert np.allclose(out.value, h0 @ w + bias, rtol=1e-14)
+    w = rng.standard_normal((4, 1))
+    bias = rng.standard_normal(1)
+    out = _one_layer_blueprint(h0, graph, [w], bias)
+    assert np.allclose(out, _head(h0 @ w + bias), rtol=1e-14, atol=0.0)
 
 
 def test_order_one_zero_laplacian_degenerates(rng):
     graph = _zero_laplacian_graph(5)
     h0 = rng.standard_normal((5, 3))
-    w0 = rng.standard_normal((3, 2))
-    w1 = rng.standard_normal((3, 2))
-    bias = np.zeros(2)
-    t = ad.Tape()
-    out = nf.cheb_layer_forward(
-        t.leaf(h0), graph, nf.ChebLayerParams([w0, w1], bias), activation="none"
-    )
-    assert np.allclose(out.value, h0 @ w0, rtol=1e-14)
+    w0 = rng.standard_normal((3, 1))
+    w1 = rng.standard_normal((3, 1))
+    out = _one_layer_blueprint(h0, graph, [w0, w1], np.zeros(1))
+    assert np.allclose(out, _head(h0 @ w0), rtol=1e-14, atol=0.0)
 
 
 def test_order_three_matches_dense_polynomial_oracle(rng):
     graph = build_element_graph(build_mesh(3, 3))
     lap = graph.laplacian_scaled.toarray()
     h0 = rng.standard_normal((9, 3))
-    weights = [rng.standard_normal((3, 2)) for _ in range(4)]
-    bias = rng.standard_normal(2)
-    t = ad.Tape()
-    out = nf.cheb_layer_forward(
-        t.leaf(h0), graph, nf.ChebLayerParams(weights, bias), activation="none"
-    )
+    weights = [0.5 * rng.standard_normal((3, 1)) for _ in range(4)]
+    bias = rng.standard_normal(1)
+    out = _one_layer_blueprint(h0, graph, weights, bias)
     # dense Chebyshev matrices built directly from the recursion
     t_mats = [np.eye(9), lap]
     for _ in range(2, 4):
         t_mats.append(2.0 * lap @ t_mats[-1] - t_mats[-2])
     expected = sum(t_mats[k] @ h0 @ weights[k] for k in range(4)) + bias
-    assert np.abs(out.value - expected).max() < 1e-10
+    assert np.abs(out - _head(expected)).max() < 1e-10
 
 
 def test_spectral_identity_small_graphs():
@@ -79,13 +79,8 @@ def test_spectral_identity_small_graphs():
 
 def test_dimension_mismatch_rejected(rng):
     graph = build_element_graph(build_mesh(2, 2))
-    t = ad.Tape()
-    with pytest.raises(ValueError):
-        nf.cheb_layer_forward(
-            t.leaf(rng.standard_normal((4, 3))),
-            graph,
-            nf.ChebLayerParams([rng.standard_normal((5, 2))], np.zeros(2)),
-        )
+    with pytest.raises(ValueError, match=r"\(4, 3\).*\(5, 1\)"):
+        _one_layer_blueprint(rng.standard_normal((4, 3)), graph, [rng.standard_normal((5, 1))], np.zeros(1))
 
 
 def test_zero_final_layer_gives_half_density():
@@ -133,7 +128,7 @@ def test_init_determinism_and_bounds():
     config = nf.NetworkConfig((8, 6, 1), cheb_order=2, seed=9)
     a = nf.init_parameters(config)
     b = nf.init_parameters(config)
-    c = nf.init_parameters(config, seed=10)
+    c = nf.init_parameters(nf.NetworkConfig((8, 6, 1), cheb_order=2, seed=10))
     for la, lb in zip(a, b):
         for wa, wb in zip(la.weights, lb.weights):
             assert np.array_equal(wa, wb)
@@ -326,51 +321,33 @@ def test_one_op_network_equals_composed_reference(instance):
     assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
 
-def test_stale_buffers_refuse_backward(rng):
-    # two forward passes on one basis share its buffers: the first pass's
-    # backward must refuse, never hand back the second pass's gradients
+def test_passes_on_one_basis_differentiate_in_any_order(rng):
+    # each pass owns its activations: two passes on one basis each give the
+    # composed network's gradients, whichever backward runs first
     mesh = build_mesh(6, 4)
     graph = build_element_graph(mesh)
     feats = rng.standard_normal((mesh.n_elems, 5))
     basis = nf.chebyshev_basis(feats, graph, 2)
-    layers = nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=4))
-    other = nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=5))
+    nets = [
+        nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=seed))
+        for seed in (4, 5)
+    ]
     w = rng.standard_normal(mesh.n_elems)
-    first, second = ad.Tape(), ad.Tape()
-    b1 = nf.predict_blueprint(basis, graph, nf.leaf_parameters(first, layers))
-    leaves2 = nf.leaf_parameters(second, other)
-    b2 = nf.predict_blueprint(basis, graph, leaves2)
-    with pytest.raises(RuntimeError, match="later forward pass"):
-        first.backward((b1 * w).sum())
-    # the latest pass still differentiates, and as often as asked
-    expected = _network_pass(
-        lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape), other, w
-    )
-    for _ in range(2):
-        grads = second.backward((b2 * w).sum())
-        assert np.array_equal(b2.value, expected[0])
-        got = [grads.of(x) for x in nf.parameter_arrays(leaves2)]
-        assert all(np.array_equal(g, r) for g, r in zip(got, expected[1]))
-    # raw features get a basis, and buffers, per call
-    t = ad.Tape()
-    leaves = nf.leaf_parameters(t, layers)
-    b_raw = nf.predict_blueprint(feats, graph, leaves)
-    nf.predict_blueprint(feats, graph, leaves)
-    assert np.all(np.isfinite(t.backward((b_raw * w).sum()).of(leaves[0].bias)))
-
-
-def test_sparse_product_is_the_scipy_product_and_checks_its_operands(rng):
-    lap = build_element_graph(build_mesh(5, 3)).laplacian_scaled
-    for a in (lap, lap.T):
-        for width in (1, 4):
-            x = rng.standard_normal((15, width))
-            out = np.full((15, width), np.nan)
-            assert np.array_equal(nf._sparse_product(a, x, out), a @ x)
-    x = rng.standard_normal((15, 4))
-    for bad_out in (np.empty((14, 4)), np.empty((15, 4), order="F"), np.empty((15, 4), np.float32)):
-        with pytest.raises(ValueError):
-            nf._sparse_product(lap, x, bad_out)
-    with pytest.raises(ValueError):
-        nf._sparse_product(lap, x[:-1], np.empty((15, 4)))
-    with pytest.raises(ValueError):
-        nf._sparse_product(lap.tocoo(), x, np.empty((15, 4)))
+    expected = [
+        _network_pass(
+            lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape), net, w
+        )
+        for net in nets
+    ]
+    for order in ((0, 1), (1, 0)):
+        passes = []
+        for net in nets:
+            t = ad.Tape()
+            leaves = nf.leaf_parameters(t, net)
+            passes.append((t, leaves, nf.predict_blueprint(basis, graph, leaves)))
+        for i in order + order:  # and as often as asked
+            t, leaves, b = passes[i]
+            grads = t.backward((b * w).sum())
+            assert np.array_equal(b.value, expected[i][0])
+            got = [grads.of(x) for x in nf.parameter_arrays(leaves)]
+            assert all(np.array_equal(g, r) for g, r in zip(got, expected[i][1]))

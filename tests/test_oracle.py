@@ -71,9 +71,9 @@ def test_lambda_recursion_top_layer_seed():
     rng = np.random.default_rng(2)
     blueprint = rng.uniform(0.2, 0.8, (4, 3))
     g_rho = rng.standard_normal((4, 3))
-    state = oracle.filter_adjoint_state(blueprint, g_rho, params)
-    assert np.array_equal(state.lambda_layers[-1], g_rho[-1])
-    assert len(state.lambda_layers) == 4
+    lam = oracle.filter_adjoint_state(blueprint, g_rho, params)
+    assert np.array_equal(lam[-1], g_rho[-1])
+    assert len(lam) == 4
 
 
 def test_filter_adjoint_matches_dense_jacobian_chain(rng):
