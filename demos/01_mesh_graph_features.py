@@ -19,6 +19,6 @@ eigs = np.linalg.eigvalsh(graph.laplacian_scaled.toarray())
 print(f"scaled Laplacian spectrum: [{eigs.min():.6f}, {eigs.max():.6f}]  (inside [-1, 1])")
 
 feats = fourier_encode(normalize_centroids(mesh), m=8, scale=2.0, seed=0)
-print(f"\nFourier features: shape {feats.features.shape}, entries in "
-      f"[{feats.features.min():.3f}, {feats.features.max():.3f}]")
-print("feature vector of element 0:", np.round(feats.features[0], 3))
+print(f"\nFourier features: shape {feats.shape}, entries in "
+      f"[{feats.min():.3f}, {feats.max():.3f}]")
+print("feature vector of element 0:", np.round(feats[0], 3))

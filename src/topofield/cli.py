@@ -54,7 +54,6 @@ class BenchmarkCase:
     fourier_m: int = 64
     fourier_scale: float = 1.5
     hidden_widths: tuple = (64, 64)
-    cheb_order: int = 1
     filter_epsilon: float = 1e-4
     filter_sharpness: float = 40.0
     E0: float = 1.0
@@ -66,6 +65,15 @@ class BenchmarkCase:
     stress_feasible_tol: float = 0.02
 
     def __post_init__(self):
+        for name in ("nelx", "nely", "iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 < self.volume_fraction < 1.0:
+            raise ValueError(f"volume fraction must lie in (0, 1), got {self.volume_fraction}")
+        if not self.sigma_allow > 0.0:
+            raise ValueError(f"sigma_allow must be positive, got {self.sigma_allow}")
         # the continuation sharpens geometrically from FILTER_SHARPNESS_START to
         # filter_sharpness, so a legal target makes every step legal
         FilterParams(self.filter_epsilon, self.filter_sharpness)
@@ -345,22 +353,22 @@ class ComparisonResult:
 
     def render(self) -> str:
         labels = [label for label, _f, _s in CONDITIONS]
-        widths = max(len(label) for label in labels) + 2
+        width = 16
         lines = [f"case: {self.case_name}"]
-        header = "seed".ljust(6) + "".join(label.ljust(max(widths, 16)) for label in labels)
+        header = "seed".ljust(6) + "".join(label.ljust(width) for label in labels)
         lines.append(header + "ordering")
         for seed in self.seeds:
             cells = []
             for label in labels:
                 val = self._compliance(label, seed)
-                cells.append(("failed" if val is None else f"{val:.6g}").ljust(max(widths, 16)))
+                cells.append(("failed" if val is None else f"{val:.6g}").ljust(width))
             ok = self.ordering_ok(seed)
             mark = "n/a" if ok is None else ("ok" if ok else "VIOLATED")
             lines.append(str(seed).ljust(6) + "".join(cells) + mark)
         cells = []
         for label in labels:
             mean = self.mean(label)
-            cells.append(("n/a" if mean is None else f"{mean:.6g}").ljust(max(widths, 16)))
+            cells.append(("n/a" if mean is None else f"{mean:.6g}").ljust(width))
         lines.append("mean".ljust(6) + "".join(cells))
         return "\n".join(lines)
 

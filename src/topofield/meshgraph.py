@@ -66,16 +66,6 @@ class ElementGraph:
     lambda_max: float
 
 
-@dataclass(frozen=True)
-class FourierFeatures:
-    """Random-frequency sinusoidal encoding of element centroids."""
-
-    freq_matrix: np.ndarray
-    m: int
-    scale: float
-    features: np.ndarray
-
-
 def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     """Build a structured mesh of nelx x nely square bilinear quads.
 
@@ -181,10 +171,8 @@ def normalize_centroids(mesh: StructuredMesh) -> np.ndarray:
     return c
 
 
-def fourier_encode(
-    centroids: np.ndarray, m: int, scale: float, seed: int
-) -> FourierFeatures:
-    """Encode coordinates as [sin(2 pi B x), cos(2 pi B x)] per element.
+def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np.ndarray:
+    """The (n, 2m) features [sin(2 pi B x), cos(2 pi B x)], one row per element.
 
     B is an (m, 2) matrix with i.i.d. Gaussian(0, scale^2) entries drawn from
     ``np.random.default_rng(seed).normal(0.0, scale, (m, 2))``; that draw is
@@ -200,5 +188,4 @@ def fourier_encode(
         raise ValueError("centroids must be finite")
     freq = np.random.default_rng(seed).normal(0.0, scale, (m, 2))
     phase = 2.0 * np.pi * (pts @ freq.T)
-    features = np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
-    return FourierFeatures(freq, m, float(scale), features)
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)

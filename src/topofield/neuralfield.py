@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
-from .meshgraph import ElementGraph, FourierFeatures
+from .meshgraph import ElementGraph
 
 _CKPT_MAGIC = b"TOPOFIELD-PARAMS v1\n"
 
@@ -123,17 +123,14 @@ class ChebyshevBasis:
         return len(self.terms) - 1
 
 
-def chebyshev_basis(
-    features: FourierFeatures | np.ndarray, graph: ElementGraph, order: int
-) -> ChebyshevBasis:
+def chebyshev_basis(features: np.ndarray, graph: ElementGraph, order: int) -> ChebyshevBasis:
     """Build the first layer's Chebyshev terms once, off the tape.
 
     The features are constant through a run, so their products with the
     Laplacian are too; :func:`predict_blueprint` accepts the result in place
     of the features and then computes no adjoint of them.
     """
-    feats = features.features if isinstance(features, FourierFeatures) else features
-    x = np.asarray(feats, dtype=float)
+    x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] != graph.laplacian_scaled.shape[0]:
         raise ValueError(
             f"feature matrix shape {x.shape} does not match a graph of "
@@ -163,7 +160,7 @@ _LOGIT_BOUND = 8.0
 
 
 def predict_blueprint(
-    features: ChebyshevBasis | FourierFeatures | np.ndarray,
+    features: ChebyshevBasis | np.ndarray,
     graph: ElementGraph,
     layers: list[ChebLayerParams],
 ) -> DiffValue:
@@ -172,8 +169,8 @@ def predict_blueprint(
 
     features is the raw feature matrix or its :func:`chebyshev_basis` on
     ``graph``, which a loop builds once instead of once per call. Either way
-    the first layer's terms are constants and the parameters are tape values
-    (see :func:`leaf_parameters`).
+    the first layer's terms are constants. The parameters must be tape values
+    (see :func:`leaf_parameters`); any other parameter raises TypeError.
 
     The whole network is one tape operation (:class:`NetworkPass`) whose
     values and weight gradients equal the network composed on the tape node
@@ -197,25 +194,16 @@ def predict_blueprint(
     else:
         basis = chebyshev_basis(features, graph, first.order)
     params = parameter_arrays(layers)
-    is_leaf = [isinstance(p, DiffValue) for p in params]
-    leaves = [p for p, leaf in zip(params, is_leaf) if leaf]
-    if not leaves:
+    if not all(isinstance(p, DiffValue) for p in params):
         raise TypeError("the network's parameters must be tape values (see leaf_parameters)")
     net = NetworkPass(basis, layers)
-
-    def vjp(g):
-        return tuple(grad for grad, leaf in zip(net.vjp(g), is_leaf) if leaf)
-
     out = net.value.reshape(net.value.shape[0])
-    return leaves[0].tape._record(out, tuple(p.nid for p in leaves), vjp)
-
-
-def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, DiffValue) else np.asarray(x, dtype=float)
+    return params[0].tape._record(out, tuple(p.nid for p in params), net.vjp)
 
 
 class NetworkPass:
-    """One forward pass of the network ``layers`` on ``basis``.
+    """One forward pass of the network ``layers``, whose parameters are tape
+    values, on ``basis``.
 
     The pass owns each hidden layer's ReLU output H and its terms
     T_1 H, ..., T_K H, which its VJP reads; any number of passes on one
@@ -226,8 +214,8 @@ class NetworkPass:
 
     def __init__(self, basis: ChebyshevBasis, layers: list[ChebLayerParams]):
         self.basis = basis
-        self.weights = [[_value(w) for w in layer.weights] for layer in layers]
-        self.biases = [_value(layer.bias) for layer in layers]
+        self.weights = [[w.value for w in layer.weights] for layer in layers]
+        self.biases = [layer.bias.value for layer in layers]
         lap = basis.graph.laplacian_scaled
         self.terms = [basis.terms]
         last = len(layers) - 1
@@ -317,20 +305,27 @@ def save_parameters(path, layers: list[ChebLayerParams]) -> None:
 def load_parameters(path) -> list[ChebLayerParams]:
     """Load a checkpoint written by :func:`save_parameters`."""
     with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a topofield parameter checkpoint")
-        arrays: dict[str, np.ndarray] = {}
-        while True:
-            header = _read_line(fh)
-            if header == "end":
-                break
-            name, shape_txt = header.rsplit(" ", 1)
-            shape = tuple(int(d) for d in shape_txt.split(","))
-            count = int(np.prod(shape))
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        data = fh.read()
+    if not data.startswith(_CKPT_MAGIC):
+        raise ValueError(f"{path}: not a topofield parameter checkpoint")
+    arrays: dict[str, np.ndarray] = {}
+    pos = len(_CKPT_MAGIC)
+    while True:
+        newline = data.find(b"\n", pos)
+        if newline < 0:
+            raise ValueError("unexpected end of checkpoint file")
+        header = data[pos:newline].decode()
+        pos = newline + 1
+        if header == "end":
+            break
+        name, shape_txt = header.rsplit(" ", 1)
+        shape = tuple(int(d) for d in shape_txt.split(","))
+        count = int(np.prod(shape))
+        raw = data[pos:pos + 8 * count]
+        if len(raw) != 8 * count:
+            raise ValueError(f"{path}: truncated array {name!r}")
+        pos += len(raw)
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     layers = []
     i = 0
     while f"layer{i}.bias" in arrays:
@@ -344,14 +339,3 @@ def load_parameters(path) -> list[ChebLayerParams]:
     if not layers:
         raise ValueError(f"{path}: checkpoint holds no layers")
     return layers
-
-
-def _read_line(fh) -> str:
-    chars = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise ValueError("unexpected end of checkpoint file")
-        if ch == b"\n":
-            return chars.decode()
-        chars.extend(ch)

@@ -9,8 +9,10 @@ and the returned design is the best feasible iterate, not simply the last.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +61,8 @@ LR_DECAY_AT = 0.85
 LR_DECAY_FACTOR = 0.5
 # the Fourier frequency draw is fixed; the case seed varies the network init
 FOURIER_SEED = 0
+# Chebyshev order of every network layer
+CHEB_ORDER = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -185,6 +189,10 @@ class ConvergenceRecord:
 
 @dataclass
 class OptimizationResult:
+    """The returned iterate's fields and network weights (``parameters``,
+    as they were when that iterate's blueprint was predicted), the whole
+    history, and how the run ended."""
+
     printed: DensityField
     blueprint: DensityField
     record: ConvergenceRecord
@@ -199,58 +207,55 @@ class OptimizationResult:
     wall_time: float = 0.0
 
 
-def _penalty_schedule(it: int, case) -> tuple[float, float]:
-    """Volume weight alpha and stress weight gamma at iteration ``it``.
+class Schedule(NamedTuple):
+    """The settings of one iteration: volume weight alpha, stress weight
+    gamma, Adam learning rate, SIMP exponent and overhang-filter surrogates."""
 
-    Both ramp linearly over ``ramp_fraction`` of the run. gamma stays 0
-    until the SIMP continuation has finished and only then starts its ramp:
-    the sqrt(E)-scaled stress of a gray field at a low SIMP exponent is
-    inflated (it scales as rho^(-p/2)), so an earlier stress term would
+    alpha: float
+    gamma: float
+    learning_rate: float
+    penal: float
+    filter: FilterParams
+
+
+def _schedule(it: int, case) -> Schedule:
+    """The settings at iteration ``it``.
+
+    alpha and gamma ramp linearly over ``ramp_fraction`` of the run. gamma
+    stays 0 until the continuation has finished and only then starts its
+    ramp: the sqrt(E)-scaled stress of a gray field at a low SIMP exponent
+    is inflated (it scales as rho^(-p/2)), so an earlier stress term would
     steer the design by a limit that the final design never reaches.
+
+    The learning rate warms up linearly over the first 3% of the run and is
+    multiplied by LR_DECAY_FACTOR after LR_DECAY_AT of it.
+
+    Over the continuation, the first CONTINUATION_FRACTION of the run, the
+    SIMP exponent ramps 1 -> penal and then holds. The early
+    low-penalization phase is nearly convex, which keeps different seeds
+    from scattering into unrelated local minima before the topology has
+    formed. Over the same window the filter surrogates start soft and
+    sharpen geometrically to the target: a hard filter from iteration 1
+    starves shadowed regions of gradient and strands the design in poor
+    basins.
     """
     ramp = max(1, int(round(case.ramp_fraction * case.iterations)))
+    continuation = max(1, int(round(CONTINUATION_FRACTION * case.iterations)))
     alpha = case.alpha_start + (case.alpha_max - case.alpha_start) * min(1.0, it / ramp)
-    if not case.stress_on:
-        return alpha, 0.0
-    ramped = max(0, it - _continuation_length(case))
-    return alpha, case.gamma_max * min(1.0, ramped / ramp)
-
-
-def _learning_rate(it: int, case) -> float:
+    gamma = 0.0
+    if case.stress_on:
+        gamma = case.gamma_max * min(1.0, max(0, it - continuation) / ramp)
     lr = case.learning_rate
     warmup = max(1, int(round(0.03 * case.iterations)))
     if it <= warmup:
         lr *= it / warmup
     if it > LR_DECAY_AT * case.iterations:
         lr *= LR_DECAY_FACTOR
-    return lr
-
-
-def _continuation_length(case) -> int:
-    """Iterations over which the SIMP exponent and the filter sharpen."""
-    return max(1, int(round(CONTINUATION_FRACTION * case.iterations)))
-
-
-def _penalization(it: int, case) -> float:
-    """SIMP exponent continuation: ramp 1 -> penal, then hold.
-
-    The early low-penalization phase is nearly convex, which keeps different
-    seeds from scattering into unrelated local minima before the topology
-    has formed.
-    """
-    t = min(1.0, it / _continuation_length(case))
-    return 1.0 + (case.penal - 1.0) * t
-
-
-def _filter_params(it: int, case) -> FilterParams:
-    """Overhang-filter continuation: soften the surrogates early, then
-    sharpen geometrically to the target over the same window as the SIMP
-    ramp. A hard filter from iteration 1 starves shadowed regions of
-    gradient and strands the design in poor basins."""
-    t = min(1.0, it / _continuation_length(case))
+    t = min(1.0, it / continuation)
+    penal = 1.0 + (case.penal - 1.0) * t
     eps = FILTER_EPSILON_START ** (1.0 - t) * case.filter_epsilon**t
     sharp = FILTER_SHARPNESS_START ** (1.0 - t) * case.filter_sharpness**t
-    return FilterParams(eps, sharp)
+    return Schedule(alpha, gamma, lr, penal, FilterParams(eps, sharp))
 
 
 def run_optimization(case) -> OptimizationResult:
@@ -285,11 +290,9 @@ def run_optimization(case) -> OptimizationResult:
         case.stress_exponent,
         excluded=point_support_elements(mesh, fixed_dofs),
     )
-    config = NetworkConfig(
-        (2 * case.fourier_m, *case.hidden_widths, 1), case.cheb_order, case.seed
-    )
+    config = NetworkConfig((2 * case.fourier_m, *case.hidden_widths, 1), CHEB_ORDER, case.seed)
     layers = init_parameters(config, volume_target=case.volume_fraction)
-    basis = chebyshev_basis(features, graph, case.cheb_order)
+    basis = chebyshev_basis(features, graph, CHEB_ORDER)
     arrays = parameter_arrays(layers)
     adam = AdamState.for_parameters(arrays, case.learning_rate)
 
@@ -304,24 +307,23 @@ def run_optimization(case) -> OptimizationResult:
 
     tape = Tape()
     record = ConvergenceRecord()
-    best = None  # (rank, iteration, printed, blueprint)
+    best = None  # (rank, iteration, printed, blueprint, network weights)
     aborted, abort_reason = False, ""
     start = time.perf_counter()
 
     for it in range(1, case.iterations + 1):
         t0 = time.perf_counter()
-        spec.volume_weight, spec.stress_weight = _penalty_schedule(it, case)
-        adam.learning_rate = _learning_rate(it, case)
-        penal_now = _penalization(it, case)
-        mat = MaterialModel(case.E0, case.Emin, case.nu, penal_now)
-        fparams = _filter_params(it, case)
+        schedule = _schedule(it, case)
+        spec.volume_weight, spec.stress_weight = schedule.alpha, schedule.gamma
+        adam.learning_rate = schedule.learning_rate
+        mat = MaterialModel(case.E0, case.Emin, case.nu, schedule.penal)
         tape.reset()
         leaves = leaf_parameters(tape, layers)
         try:
             b = predict_blueprint(basis, graph, leaves)
-            if passive is not None and passive.any():
+            if passive.any():
                 b = apply_passive(b, passive)
-            rho = apply_filter(b, case.nelx, case.nely, fparams) if case.filter_on else b
+            rho = apply_filter(b, case.nelx, case.nely, schedule.filter) if case.filter_on else b
             u, _system = assemble_and_solve(rho, mesh, mat, fixed_dofs, f)
             c = compliance(u, f)
             if it == 1:
@@ -330,6 +332,21 @@ def run_optimization(case) -> OptimizationResult:
             pn = p_norm_stress(stress, agg)
             excess = pn - case.stress_feasible_tol if case.stress_on else None
             loss = composite_loss(c, rho, excess, spec)
+            vf = float(rho.value @ elem_vol) / elem_vol.sum()
+            vol_gap = max(abs(vf - case.volume_fraction) - case.volume_feasible_tol, 0.0)
+            pn_gap = (
+                max(float(pn.value) - case.stress_feasible_tol, 0.0) if case.stress_on else 0.0
+            )
+            feasible = vol_gap == 0.0 and pn_gap == 0.0
+            # lower ranks first: iterates at the final penalization before
+            # all earlier ones (which count only for a run that stops before
+            # reaching it), then feasible ones, then smaller violation, then
+            # lower C; a feasible iterate's violation is 0, so feasible ones
+            # rank by C alone
+            rank = (schedule.penal != case.penal, not feasible, vol_gap + pn_gap, float(c.value))
+            # the weights that predicted this iterate, before the step moves them
+            ranks_best = best is None or rank < best[0]
+            weights = copy.deepcopy(layers) if ranks_best else None
             grads = tape.backward(loss)
             leaf_list = parameter_arrays(leaves)
             adam_step(arrays, [grads.of(leaf) for leaf in leaf_list], adam)
@@ -341,33 +358,21 @@ def run_optimization(case) -> OptimizationResult:
                 0.0, spec.stress_multiplier + 2.0 * spec.stress_weight * float(excess.value)
             )
 
-        vf = float(rho.value @ elem_vol) / elem_vol.sum()
         record.append(it, c.value, vf, pn.value, loss.value, time.perf_counter() - t0)
-
-        vol_gap = max(abs(vf - case.volume_fraction) - case.volume_feasible_tol, 0.0)
-        pn_gap = (
-            max(float(pn.value) - case.stress_feasible_tol, 0.0) if case.stress_on else 0.0
-        )
-        feasible = vol_gap == 0.0 and pn_gap == 0.0
-        # lower ranks first: iterates at the final penalization before all
-        # earlier ones (which count only for a run that stops before reaching
-        # it), then feasible ones, then smaller violation, then lower C; a
-        # feasible iterate's violation is 0, so feasible ones rank by C alone
-        rank = (penal_now != case.penal, not feasible, vol_gap + pn_gap, float(c.value))
-        if best is None or rank < best[0]:
-            best = (rank, it, np.array(rho.value), np.array(b.value))
+        if ranks_best:
+            best = (rank, it, np.array(rho.value), np.array(b.value), weights)
 
     if best is None:
         raise SolverFailureError(
             f"optimization aborted before completing one iteration: {abort_reason}"
         )
-    (_early, infeasible, _violation, best_c), best_it, best_rho, best_b = best
+    (_early, infeasible, _violation, best_c), best_it, best_rho, best_b, best_layers = best
     idx = best_it - 1
     result = OptimizationResult(
         printed=DensityField.from_flat(best_rho, case.nelx, case.nely, "printed"),
         blueprint=DensityField.from_flat(best_b, case.nelx, case.nely, "blueprint"),
         record=record,
-        parameters=layers,
+        parameters=best_layers,
         best_iteration=best_it,
         best_feasible=not infeasible,
         final_compliance=float(best_c),

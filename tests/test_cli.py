@@ -365,3 +365,98 @@ def test_compare_parses_seeds_with_spaces_and_defaults_to_three(tmp_path, monkey
     seen.clear()
     assert cli.main(args) == 0
     assert seen == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("run", ("--seed", "-1")),
+        ("run", ("--nelx", "0")),
+        ("run", ("--nely", "0")),
+        ("run", ("--iters", "0")),
+        ("run", ("--volfrac", "1.5")),
+        ("run", ("--volfrac", "0")),
+        ("run", ("--sigma-allow", "0")),
+        ("compare", ("--volfrac", "1.5")),
+        ("compare", ("--nelx", "0")),
+    ],
+)
+def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, command, extra):
+    def must_not_run(case):
+        raise AssertionError("ran with an out-of-range option")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    out = tmp_path / "out"
+    args = [command, "--case", "simply_supported", "--out-dir", str(out), *extra]
+    assert cli.main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed = -1", "iters = 0", "volfrac = 1.0", "sigma_allow = -2"])
+def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, capsys, line):
+    def must_not_run(case):
+        raise AssertionError("ran with an out-of-range option")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(f"case = tip_cantilever\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
+     dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0)],
+)
+def test_benchmark_case_rejects_out_of_range_values(overrides):
+    with pytest.raises(ValueError):
+        cli.preset("simply_supported", **overrides)
+
+
+def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
+    # the best iterate of this run is not the last, so the weights after the
+    # final Adam step would predict another blueprint
+    from topofield import neuralfield as nf
+    from topofield import optimizer as opt
+    from topofield.amfilter import apply_passive
+    from topofield.meshgraph import fourier_encode, normalize_centroids
+
+    case = cli.preset("simply_supported", nelx=12, nely=5, iterations=60,
+                      fourier_m=8, hidden_widths=(16,), load_scale=0.25, seed=1)
+    result = tf.run_optimization(case)
+    assert result.best_iteration < case.iterations
+    cli._write_artifacts(case, result, tmp_path, "run")
+    layers = nf.load_parameters(tmp_path / "run" / "weights.ckpt")
+    mesh = tf.build_mesh(case.nelx, case.nely)
+    features = fourier_encode(
+        normalize_centroids(mesh), case.fourier_m, case.fourier_scale, opt.FOURIER_SEED
+    )
+    graph = tf.build_element_graph(mesh)
+    t = tf.Tape()
+    b = nf.predict_blueprint(features, graph, nf.leaf_parameters(t, layers))
+    _fixed, _f, passive = case.build_problem(mesh)
+    rebuilt = DensityField.from_flat(apply_passive(b, passive).value, case.nelx, case.nely)
+    assert np.array_equal(rebuilt.values, result.blueprint.values)
+
+
+def test_readme_documents_every_run_flag_and_config_key():
+    # the flags and keys the README lists are exactly the ones the program takes
+    import argparse
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = argparse.ArgumentParser()
+    run_p = parser.add_subparsers().add_parser("run")
+    cli._add_common_flags(run_p)
+    flags = [a for a in run_p._actions if a.dest != "help"]
+    for action in flags:
+        for option in action.option_strings:
+            assert option in readme, option
+    listed = re.search(r"Recognized keys: `([^`]*)`", readme)
+    assert listed is not None
+    assert sorted(key.strip() for key in listed.group(1).split(",")) == sorted(cli.CONFIG_KEYS)

@@ -83,6 +83,17 @@ def test_dimension_mismatch_rejected(rng):
         _one_layer_blueprint(rng.standard_normal((4, 3)), graph, [rng.standard_normal((5, 1))], np.zeros(1))
 
 
+def test_parameters_must_be_tape_values(rng):
+    graph = build_element_graph(build_mesh(2, 2))
+    feats = rng.standard_normal((4, 3))
+    layers = nf.init_parameters(nf.NetworkConfig((3, 1), seed=0))
+    mixed = nf.leaf_parameters(ad.Tape(), layers)
+    mixed[0].bias = layers[0].bias
+    for params in (layers, mixed):
+        with pytest.raises(TypeError, match="tape values"):
+            nf.predict_blueprint(feats, graph, params)
+
+
 def test_zero_final_layer_gives_half_density():
     mesh = build_mesh(3, 2)
     graph = build_element_graph(mesh)
@@ -204,6 +215,25 @@ def test_checkpoint_rejects_other_files(tmp_path):
         nf.load_parameters(path)
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        # the last array loses its final byte, then the end line goes too
+        (lambda data: data[: -len(b"end\n") - 1], r"truncated array 'layer1\.bias'"),
+        (lambda data: data[: -len(b"end\n")], "unexpected end of checkpoint file"),
+        (lambda data: data[: -len(b"end")], "unexpected end of checkpoint file"),
+        (lambda data: b"TOPOFIELD-PARAMS v1\nend\n", "checkpoint holds no layers"),
+    ],
+    ids=["truncated-array", "no-end-line", "unfinished-end-line", "no-layers"],
+)
+def test_checkpoint_rejects_damaged_files(tmp_path, damage, message):
+    path = tmp_path / "weights.ckpt"
+    nf.save_parameters(path, nf.init_parameters(nf.NetworkConfig((3, 2, 1), seed=0)))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        nf.load_parameters(path)
+
+
 def test_network_config_validation():
     with pytest.raises(ValueError):
         nf.NetworkConfig((4,))
@@ -219,7 +249,7 @@ def test_blueprint_equals_feature_leaf_composition(order):
     # a leaf and the first layer's recursion on the tape, bit for bit
     mesh = build_mesh(7, 5)
     graph = build_element_graph(mesh)
-    feats = fourier_encode(normalize_centroids(mesh), 4, 2.0, 0).features
+    feats = fourier_encode(normalize_centroids(mesh), 4, 2.0, 0)
     layers = nf.init_parameters(nf.NetworkConfig((8, 6, 5, 1), cheb_order=order, seed=order))
     w = np.random.default_rng(order).standard_normal(mesh.n_elems)
     basis = nf.chebyshev_basis(feats, graph, order)

@@ -184,24 +184,30 @@ def test_adam_rejects_nonfinite_gradient():
 
 def test_schedules():
     case = tf.preset("simply_supported", iterations=100)
-    a0, g0 = opt._penalty_schedule(1, case)
-    a_end, g_end = opt._penalty_schedule(100, case)
-    assert a_end == case.alpha_max
-    assert g0 == 0.0  # stress off by default preset
+    first, end = opt._schedule(1, case), opt._schedule(100, case)
+    assert end.alpha == case.alpha_max
+    assert first.gamma == 0.0  # stress off by default preset
     stress_case = tf.preset("simply_supported", iterations=100, stress_on=True)
-    _, g_late = opt._penalty_schedule(100, stress_case)
-    assert g_late == stress_case.gamma_max
+    assert opt._schedule(100, stress_case).gamma == stress_case.gamma_max
     # the stress weight stays off through the continuation (50 iterations),
     # then ramps over ramp_fraction * iterations (15)
-    gammas = [opt._penalty_schedule(it, stress_case)[1] for it in (1, 50, 51, 58, 65, 66)]
+    gammas = [opt._schedule(it, stress_case).gamma for it in (1, 50, 51, 58, 65, 66)]
     g_max = stress_case.gamma_max
     assert gammas[:2] == [0.0, 0.0]
     assert np.allclose(gammas[2:], [g_max / 15, g_max * 8 / 15, g_max, g_max], rtol=1e-15)
     warmup = max(1, int(round(0.03 * case.iterations)))
-    assert np.isclose(opt._learning_rate(1, case), case.learning_rate / warmup)
-    assert opt._learning_rate(warmup, case) == case.learning_rate
-    lr_end = opt._learning_rate(100, case)
-    assert lr_end == case.learning_rate * opt.LR_DECAY_FACTOR
+    assert np.isclose(first.learning_rate, case.learning_rate / warmup)
+    assert opt._schedule(warmup, case).learning_rate == case.learning_rate
+    assert end.learning_rate == case.learning_rate * opt.LR_DECAY_FACTOR
+    # the SIMP exponent and the filter surrogates sharpen over the same
+    # window, from 1 and the soft start to the case's targets, then hold
+    assert first.penal == 1.0 + (case.penal - 1.0) * (1 / 50)
+    assert opt._schedule(50, case).penal == end.penal == case.penal
+    assert case.filter_epsilon < first.filter.epsilon < opt.FILTER_EPSILON_START
+    assert opt.FILTER_SHARPNESS_START < first.filter.sharpness < case.filter_sharpness
+    assert opt._schedule(50, case).filter == end.filter
+    assert end.filter.epsilon == case.filter_epsilon
+    assert end.filter.sharpness == case.filter_sharpness
 
 
 def _tiny_case(**kw):
