@@ -10,7 +10,7 @@ element by element.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class DiffValue:
 
     def sum(self):
         return total(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __add__(self, other):
         return add(self, other)
@@ -302,15 +299,6 @@ def sigmoid(x: DiffValue) -> DiffValue:
     return x.tape._record(val, (x.nid,), vjp)
 
 
-def clamp_straight_through(x: DiffValue, lo: float, hi: float) -> DiffValue:
-    """Clip the forward value but pass the adjoint through unchanged.
-
-    Used to bound pre-sigmoid activations: a plain clamp would kill the
-    gradient exactly where the optimizer needs it to pull a saturated unit
-    back into range."""
-    return x.tape._record(np.clip(x.value, lo, hi), (x.nid,), lambda g: (g,))
-
-
 def total(x: DiffValue) -> DiffValue:
     """Sum of all entries (scalar output)."""
     shape = x.value.shape
@@ -319,13 +307,6 @@ def total(x: DiffValue) -> DiffValue:
         return (np.broadcast_to(g, shape).astype(float, copy=True),)
 
     return x.tape._record(x.value.sum(), (x.nid,), vjp)
-
-
-def reshape(x: DiffValue, shape) -> DiffValue:
-    orig = x.value.shape
-    return x.tape._record(
-        x.value.reshape(shape), (x.nid,), lambda g: (g.reshape(orig),)
-    )
 
 
 def gather(x: DiffValue, index) -> DiffValue:
@@ -339,22 +320,6 @@ def gather(x: DiffValue, index) -> DiffValue:
         return (out,)
 
     return x.tape._record(xv[idx], (x.nid,), vjp)
-
-
-def concat(parts: Sequence[DiffValue]) -> DiffValue:
-    """Concatenate 1-D values; backward splits the adjoint."""
-    tape = _tape_of(*parts)
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return tape._record(
-        np.concatenate([p.value for p in parts]),
-        tuple(p.nid for p in parts),
-        vjp,
-    )
 
 
 def matmul(a, b) -> DiffValue:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -31,14 +33,70 @@ BENCHMARK_NAMES = ("simply_supported", "tip_cantilever", "mid_cantilever")
 CONDITIONS = (("none", False, False), ("filter", True, False), ("filter+stress", True, True))
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("on", "true", "1", "yes"):
+        return True
+    if text.lower() in ("off", "false", "0", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected on/off, got {text!r}")
+
+
+class Setting(NamedTuple):
+    """A settable value: its config key, the BenchmarkCase field it sets, the
+    parser of its text, its legal range (a predicate that NaN fails, and the
+    rule in words) and whether the key, with - for _, is also a flag."""
+
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    legal: Callable[[object], bool]
+    rule: str
+    flag: bool = False
+
+
+def _positive(x) -> bool:
+    return 0.0 < x < math.inf
+
+
+def _at_least(lo):
+    return lambda x: lo <= x < math.inf
+
+
+SETTINGS = (
+    Setting("nelx", "nelx", int, _at_least(1), "at least 1", flag=True),
+    Setting("nely", "nely", int, _at_least(1), "at least 1", flag=True),
+    Setting("volfrac", "volume_fraction", float, lambda v: 0.0 < v < 1.0, "in (0, 1)", flag=True),
+    Setting("filter", "filter_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
+    Setting("stress", "stress_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
+    Setting("sigma_allow", "sigma_allow", float, _positive, "positive and finite", flag=True),
+    Setting("iters", "iterations", int, _at_least(1), "at least 1", flag=True),
+    Setting("seed", "seed", int, _at_least(0), "at least 0", flag=True),
+    Setting("load_scale", "load_scale", float, _positive, "positive and finite", flag=True),
+    Setting("learning_rate", "learning_rate", float, _positive, "positive and finite"),
+    Setting("alpha_max", "alpha_max", float, _at_least(0.0), "non-negative and finite"),
+    Setting("gamma_max", "gamma_max", float, _at_least(0.0), "non-negative and finite"),
+    Setting("ramp_fraction", "ramp_fraction", float, lambda f: 0.0 <= f <= 1.0, "in [0, 1]"),
+    Setting("fourier_m", "fourier_m", int, _at_least(1), "at least 1"),
+    Setting("fourier_scale", "fourier_scale", float, _at_least(0.0), "non-negative and finite"),
+    Setting("filter_epsilon", "filter_epsilon", float, _positive, "positive and finite"),
+    # FilterParams states the lower limit, log2 3
+    Setting("filter_sharpness", "filter_sharpness", float, math.isfinite, "finite and above log2 3"),
+    Setting("penal", "penal", float, _at_least(1.0), "at least 1 and finite"),
+    Setting("stress_exponent", "stress_exponent", float, _at_least(2.0), "at least 2 and finite"),
+)
+
+
 @dataclass
 class BenchmarkCase:
-    """One optimization run: geometry, supports, loads, and hyperparameters."""
+    """One optimization run: geometry, supports, loads, and hyperparameters.
+
+    Every field but ``name``, ``hidden_widths`` and ``alpha_start`` is a row
+    of :data:`SETTINGS`, which states its config key and legal range.
+    """
 
     name: str
     nelx: int = 60
     nely: int = 20
-    elem_size: float = 1.0
     volume_fraction: float = 0.5
     load_scale: float = 1.0
     filter_on: bool = True
@@ -56,27 +114,28 @@ class BenchmarkCase:
     hidden_widths: tuple = (64, 64)
     filter_epsilon: float = 1e-4
     filter_sharpness: float = 40.0
-    E0: float = 1.0
-    Emin: float = 1e-9
-    nu: float = 0.3
     penal: float = 3.0
     stress_exponent: float = 8.0
-    volume_feasible_tol: float = 0.01
-    stress_feasible_tol: float = 0.02
+    # the same for every case
+    elem_size: ClassVar[float] = 1.0
+    E0: ClassVar[float] = 1.0
+    Emin: ClassVar[float] = 1e-9
+    nu: ClassVar[float] = 0.3
+    volume_feasible_tol: ClassVar[float] = 0.01
+    stress_feasible_tol: ClassVar[float] = 0.02
 
     def __post_init__(self):
-        for name in ("nelx", "nely", "iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.volume_fraction < 1.0:
-            raise ValueError(f"volume fraction must lie in (0, 1), got {self.volume_fraction}")
-        if not self.sigma_allow > 0.0:
-            raise ValueError(f"sigma_allow must be positive, got {self.sigma_allow}")
+        if self.name not in BENCHMARK_NAMES:
+            raise ValueError(f"unknown case {self.name!r}; choose from {', '.join(BENCHMARK_NAMES)}")
+        for setting in SETTINGS:
+            value = getattr(self, setting.field)
+            if not setting.legal(value):
+                raise ValueError(f"{setting.key} must be {setting.rule}, got {value!r}")
         # the continuation sharpens geometrically from FILTER_SHARPNESS_START to
         # filter_sharpness, so a legal target makes every step legal
         FilterParams(self.filter_epsilon, self.filter_sharpness)
+        if self.name == "simply_supported" and self.nely < 2:
+            raise ValueError("simply_supported needs nely >= 2: its bottom layer is passive")
 
     def build_problem(self, mesh: StructuredMesh):
         """Fixed DOFs, load vector, and passive mask for this case.
@@ -96,19 +155,15 @@ class BenchmarkCase:
             left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
             fixed = np.concatenate([2 * left, 2 * left + 1])
             f[2 * mesh.node_id(mesh.nelx, 0) + 1] = -self.load_scale
-        elif self.name == "mid_cantilever":
+        else:  # mid_cantilever
             left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
             fixed = np.concatenate([2 * left, 2 * left + 1])
             f[2 * mesh.node_id(mesh.nelx, mesh.nely // 2) + 1] = -self.load_scale
-        else:
-            raise ValueError(f"unknown benchmark case {self.name!r}")
         return np.sort(fixed), f, passive
 
 
 def preset(name: str, **overrides) -> BenchmarkCase:
     """Benchmark preset by name with keyword overrides."""
-    if name not in BENCHMARK_NAMES:
-        raise ValueError(f"unknown case {name!r}; choose from {', '.join(BENCHMARK_NAMES)}")
     return BenchmarkCase(name=name, **overrides)
 
 
@@ -118,14 +173,6 @@ def preset(name: str, **overrides) -> BenchmarkCase:
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("on", "true", "1", "yes"):
-        return True
-    if text.lower() in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on/off, got {text!r}")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -145,36 +192,9 @@ def _parse_case(text: str) -> str:
     return text
 
 
-CONFIG_KEYS = {
-    "case": _parse_case,
-    "nelx": int,
-    "nely": int,
-    "volfrac": float,
-    "filter": _parse_bool,
-    "stress": _parse_bool,
-    "sigma_allow": float,
-    "iters": int,
-    "seed": int,
-    "load_scale": float,
-    "learning_rate": float,
-    "alpha_max": float,
-    "gamma_max": float,
-    "ramp_fraction": float,
-    "fourier_m": int,
-    "fourier_scale": float,
-    "filter_epsilon": float,
-    "filter_sharpness": float,
-    "penal": float,
-    "stress_exponent": float,
-    "out_dir": str,
-}
-
-_FIELD_FOR_KEY = {
-    "volfrac": "volume_fraction",
-    "filter": "filter_on",
-    "stress": "stress_on",
-    "iters": "iterations",
-}
+# the rows' keys, and the two no row holds: the preset's name and the
+# directory that receives the run directories
+CONFIG_KEYS = {"case": _parse_case, **{s.key: s.parse for s in SETTINGS}, "out_dir": str}
 
 
 def load_config(path) -> dict:
@@ -187,26 +207,22 @@ def load_config(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](val)
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {err}") from err
     return values
 
 
 def case_from_options(options: dict) -> BenchmarkCase:
     """Build a case from config-file keys (already typed)."""
-    name = options.get("case", "simply_supported")
-    overrides = {}
-    for key, value in options.items():
-        if key in ("case", "out_dir"):
-            continue
-        overrides[_FIELD_FOR_KEY.get(key, key)] = value
-    return preset(name, **overrides)
+    overrides = {s.field: options[s.key] for s in SETTINGS if s.key in options}
+    return preset(options.get("case", "simply_supported"), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +290,12 @@ def _write_artifacts(
     out_root = Path(out_root)
     if run_name is None:
         condition = _condition_label(case)
-        run_name = time.strftime("%Y%m%d-%H%M%S") + f"-{case.name}-{condition}-s{case.seed}"
-        run_dir = out_root / run_name
-        counter = 1
-        while run_dir.exists():
-            run_dir = out_root / f"{run_name}.{counter}"
+        stem = time.strftime("%Y%m%d-%H%M%S") + f"-{case.name}-{condition}-s{case.seed}"
+        run_name, counter = stem, 0
+        while (out_root / run_name).exists():
             counter += 1
-    else:
-        run_dir = out_root / run_name
+            run_name = f"{stem}.{counter}"
+    run_dir = out_root / run_name
     run_dir.mkdir(parents=True, exist_ok=True)
 
     result.record.to_csv(run_dir / "convergence.csv")
@@ -353,23 +367,18 @@ class ComparisonResult:
 
     def render(self) -> str:
         labels = [label for label, _f, _s in CONDITIONS]
-        width = 16
-        lines = [f"case: {self.case_name}"]
-        header = "seed".ljust(6) + "".join(label.ljust(width) for label in labels)
-        lines.append(header + "ordering")
+
+        def row(head, values, missing) -> str:
+            cells = (missing if v is None else f"{v:.6g}" for v in values)
+            return str(head).ljust(6) + "".join(cell.ljust(16) for cell in cells)
+
+        header = "seed".ljust(6) + "".join(label.ljust(16) for label in labels) + "ordering"
+        lines = [f"case: {self.case_name}", header]
         for seed in self.seeds:
-            cells = []
-            for label in labels:
-                val = self._compliance(label, seed)
-                cells.append(("failed" if val is None else f"{val:.6g}").ljust(width))
             ok = self.ordering_ok(seed)
             mark = "n/a" if ok is None else ("ok" if ok else "VIOLATED")
-            lines.append(str(seed).ljust(6) + "".join(cells) + mark)
-        cells = []
-        for label in labels:
-            mean = self.mean(label)
-            cells.append(("n/a" if mean is None else f"{mean:.6g}").ljust(width))
-        lines.append("mean".ljust(6) + "".join(cells))
+            lines.append(row(seed, [self._compliance(c, seed) for c in labels], "failed") + mark)
+        lines.append(row("mean", [self.mean(c) for c in labels], "n/a"))
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
@@ -387,8 +396,7 @@ def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonRe
 
     With ``out_root`` each run also writes its artifact set there.
     """
-    results: dict = {}
-    errors: dict = {}
+    results, errors = {}, {}
     for seed in seeds:
         for label, filt, stress in CONDITIONS:
             run = dataclasses.replace(case, seed=seed, filter_on=filt, stress_on=stress)
@@ -407,28 +415,22 @@ def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonRe
 # argument parsing
 
 
-def _add_common_flags(parser: argparse.ArgumentParser):
+def _add_common_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument("--case", choices=BENCHMARK_NAMES)
     parser.add_argument("--config", type=str, help="key = value configuration file")
-    parser.add_argument("--nelx", type=int)
-    parser.add_argument("--nely", type=int)
-    parser.add_argument("--volfrac", type=float)
-    parser.add_argument("--filter", choices=("on", "off"))
-    parser.add_argument("--stress", choices=("on", "off"))
-    parser.add_argument("--sigma-allow", type=float, dest="sigma_allow")
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--load-scale", type=float, dest="load_scale")
+    for setting in SETTINGS:
+        if setting.flag:
+            flag = "--" + setting.key.replace("_", "-")
+            parser.add_argument(flag, type=setting.parse, dest=setting.key, help=setting.rule)
     parser.add_argument("--out-dir", type=str, dest="out_dir")
+    return parser
 
 
 def _case_from_args(args) -> tuple[BenchmarkCase, str]:
     """Config-file values, then the flags given on the command line over them."""
     options = load_config(args.config) if args.config else {}
-    for key, parse in CONFIG_KEYS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = parse(value)
+    given = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    options.update({key: value for key, value in given.items() if value is not None})
     return case_from_options(options), options.get("out_dir", "runs")
 
 
@@ -439,11 +441,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one benchmark condition")
-    _add_common_flags(run_p)
-
-    cmp_p = sub.add_parser("compare", help="run all three conditions per seed")
-    _add_common_flags(cmp_p)
+    _add_common_flags(sub.add_parser("run", help="run one benchmark condition"))
+    cmp_p = _add_common_flags(sub.add_parser("compare", help="run all three conditions per seed"))
     cmp_p.add_argument("--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seeds")
 
     args = parser.parse_args(argv)

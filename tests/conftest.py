@@ -27,6 +27,30 @@ def rng():
     return np.random.default_rng(0)
 
 
+# tape ops that only the composed references below and their tests record
+def clamp_straight_through(x, lo, hi):
+    """Clip the forward value but pass the adjoint through unchanged, as the
+    network's logit clamp does: a plain clamp would kill the gradient exactly
+    where the optimizer needs it to pull a saturated unit back into range."""
+    return x.tape._record(np.clip(x.value, lo, hi), (x.nid,), lambda g: (g,))
+
+
+def reshape(x, shape):
+    orig = x.value.shape
+    return x.tape._record(x.value.reshape(shape), (x.nid,), lambda g: (g.reshape(orig),))
+
+
+def concat(parts):
+    """Concatenate 1-D values; backward splits the adjoint."""
+    offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+
+    def vjp(g):
+        return tuple(g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+
+    values = np.concatenate([p.value for p in parts])
+    return parts[0].tape._record(values, tuple(p.nid for p in parts), vjp)
+
+
 def composed_filter(blueprint, nelx, nely, params):
     """The smooth filter sweep composed on the tape from the public
     surrogates, one node per elementwise step: the independent reference for
@@ -50,7 +74,7 @@ def composed_filter(blueprint, nelx, nely, params):
         below_right = ad.gather(prev, right_idx) * right_mask
         support_max = smooth_max((below_left, prev, below_right), params)
         rows.append(smooth_min(b_i, support_max, params))
-    return ad.clamp_straight_through(ad.concat(rows), 0.0, 1.0)
+    return clamp_straight_through(concat(rows), 0.0, 1.0)
 
 
 def composed_blueprint(features, graph, layers, tape):
@@ -74,5 +98,5 @@ def composed_blueprint(features, graph, layers, tape):
             t_prev, t_cur = t_cur, t_next
         out = out + layer.bias
         h = ad.relu(out) if index < len(layers) - 1 else out
-    out = ad.sigmoid(ad.clamp_straight_through(h, -8.0, 8.0))
-    return ad.reshape(out, (out.value.shape[0],))
+    out = ad.sigmoid(clamp_straight_through(h, -8.0, 8.0))
+    return reshape(out, (out.value.shape[0],))

@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import topofield as tf
 from topofield import cli
@@ -379,6 +385,9 @@ def test_compare_parses_seeds_with_spaces_and_defaults_to_three(tmp_path, monkey
         ("run", ("--sigma-allow", "0")),
         ("compare", ("--volfrac", "1.5")),
         ("compare", ("--nelx", "0")),
+        ("run", ("--load-scale", "0")),
+        ("run", ("--load-scale", "nan")),
+        ("compare", ("--load-scale", "nan")),
     ],
 )
 def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, command, extra):
@@ -393,7 +402,27 @@ def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["seed = -1", "iters = 0", "volfrac = 1.0", "sigma_allow = -2"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "seed = -1",
+        "iters = 0",
+        "volfrac = 1.0",
+        "sigma_allow = -2",
+        "fourier_m = 0",
+        "fourier_scale = -1",
+        "penal = 0",
+        "stress_exponent = 0",
+        "learning_rate = nan",
+        "ramp_fraction = -1",
+        "gamma_max = -5",
+        "alpha_max = nan",
+        "load_scale = 0",
+        "load_scale = nan",
+        "filter_epsilon = inf",
+        "filter_sharpness = inf",
+    ],
+)
 def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, capsys, line):
     def must_not_run(case):
         raise AssertionError("ran with an out-of-range option")
@@ -410,7 +439,8 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize(
     "overrides",
     [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
-     dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0)],
+     dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0),
+     dict(learning_rate=float("nan")), dict(penal=float("inf")), dict(nely=1)],
 )
 def test_benchmark_case_rejects_out_of_range_values(overrides):
     with pytest.raises(ValueError):
@@ -444,19 +474,124 @@ def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
 
 
 def test_readme_documents_every_run_flag_and_config_key():
-    # the flags and keys the README lists are exactly the ones the program takes
-    import argparse
+    # README's table of keys states each row of cli.SETTINGS: its flag, the
+    # field it sets and its legal values; it lists every key and no other
     import re
-    from pathlib import Path
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    parser = argparse.ArgumentParser()
-    run_p = parser.add_subparsers().add_parser("run")
-    cli._add_common_flags(run_p)
-    flags = [a for a in run_p._actions if a.dest != "help"]
-    for action in flags:
-        for option in action.option_strings:
-            assert option in readme, option
-    listed = re.search(r"Recognized keys: `([^`]*)`", readme)
-    assert listed is not None
-    assert sorted(key.strip() for key in listed.group(1).split(",")) == sorted(cli.CONFIG_KEYS)
+    documented = {
+        row.group(1): row.group(2, 3, 4)
+        for row in re.finditer(r"^\| `(\w+)` +\| (\S*) +\| (\S*) +\| (.*?) +\|$", readme, re.M)
+    }
+    assert sorted(documented) == sorted(cli.CONFIG_KEYS)
+    for setting in cli.SETTINGS:
+        flag = f"`--{setting.key.replace('_', '-')}`" if setting.flag else "—"
+        assert documented[setting.key] == (flag, f"`{setting.field}`", setting.rule), setting.key
+    assert documented["case"][:2] == ("`--case`", "`name`")
+    assert documented["out_dir"][0] == "`--out-dir`"
+    assert "--config FILE" in readme
+
+
+PYTHON_ONLY_FIELDS = ("name", "hidden_widths", "alpha_start")
+
+
+def test_every_case_field_is_a_setting_or_set_from_python_only():
+    # a field added to BenchmarkCase needs a row of cli.SETTINGS, with its
+    # key and legal range, or a place on the short list of fields that only
+    # Python callers set
+    fields = [f.name for f in dataclasses.fields(cli.BenchmarkCase)]
+    rows = [setting.field for setting in cli.SETTINGS]
+    assert len(fields) == 22
+    assert len(set(rows)) == len(rows)
+    assert set(rows) <= set(fields)
+    assert sorted(rows + list(PYTHON_ONLY_FIELDS)) == sorted(fields)
+    assert list(cli.CONFIG_KEYS) == ["case", *(setting.key for setting in cli.SETTINGS), "out_dir"]
+    # the random config files below draw every key but the output directory
+    assert sorted(_LEGAL) == sorted(set(cli.CONFIG_KEYS) - {"out_dir"})
+    case = cli.preset("simply_supported")
+    for setting in cli.SETTINGS:
+        assert setting.legal(getattr(case, setting.field)), setting.key
+        assert not setting.legal(math.nan), setting.key
+
+
+def test_config_rejects_a_key_given_twice(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nnelx = 6\nseed = 2\n")
+    with pytest.raises(cli.ConfigError, match=r"twice\.cfg:3: duplicate key 'seed'"):
+        cli.load_config(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "twice.cfg:3: duplicate key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EDGES = (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300, 1.7e308)
+_LEGAL = {
+    "case": st.sampled_from(cli.BENCHMARK_NAMES),
+    "nelx": st.integers(1, 8),
+    "nely": st.integers(1, 4),
+    "volfrac": st.floats(0.05, 0.95),
+    "filter": st.sampled_from(("on", "off")),
+    "stress": st.sampled_from(("on", "off")),
+    "sigma_allow": st.floats(0.1, 10.0),
+    "iters": st.integers(1, 2),
+    "seed": st.integers(0, 2**32),
+    "load_scale": st.floats(0.01, 10.0),
+    "learning_rate": st.floats(1e-4, 1.0),
+    "alpha_max": st.floats(0.0, 1000.0),
+    "gamma_max": st.floats(0.0, 1000.0),
+    "ramp_fraction": st.floats(0.0, 1.0),
+    "fourier_m": st.integers(1, 16),
+    "fourier_scale": st.floats(0.0, 10.0),
+    "filter_epsilon": st.floats(1e-8, 1.0),
+    "filter_sharpness": st.floats(1.6, 100.0),
+    "penal": st.floats(1.0, 5.0),
+    "stress_exponent": st.floats(2.0, 16.0),
+}
+
+
+def _config_value(key):
+    legal = _LEGAL[key]
+    if key in ("case", "filter", "stress"):
+        return legal
+    if key in ("nelx", "nely", "iters", "seed", "fourier_m"):
+        # integer keys: their legal draws keep the mesh, the run and the
+        # network small, and the edges are 0 and -1
+        return st.one_of(legal, st.sampled_from((0, -1)))
+    return st.one_of(legal, st.sampled_from(_EDGES))
+
+
+@st.composite
+def _config_files(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_LEGAL)), unique=True))
+    values = {key: draw(_config_value(key)) for key in keys}
+    # the defaults are a 60x20 mesh, 600 iterations and 64 Fourier pairs
+    for key, small in (("nelx", 8), ("nely", 4), ("iters", 2), ("fourier_m", 16)):
+        values.setdefault(key, small)
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_config_files())
+@example("case = tip_cantilever\nnelx = 6\nnely = 3\niters = 2\nfourier_m = 0\n")
+@example("case = simply_supported\nnelx = 2\nnely = 1\niters = 1\nfourier_m = 4\n")
+def test_random_config_files_run_or_exit_cleanly(text):
+    # every config file ends in a summary, a usage error before any run
+    # directory, or a solver failure; none ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "random.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        if code == 0:
+            summary = json.loads(stdout.getvalue())
+            assert Path(summary["out_dir"]).is_dir()
+        elif code == 2:
+            assert stderr.getvalue().startswith("error:")
+            assert not out.exists()
+        else:
+            assert code == 3, (code, stderr.getvalue())
+            assert stderr.getvalue().startswith("solver failure:")
+            assert not out.exists()
