@@ -23,9 +23,10 @@ import numpy as np
 
 from .amfilter import DensityField, FilterParams
 from .autodiff import SolverFailureError
+from .fea import MaterialModel, StressAggregate
 from .meshgraph import StructuredMesh
 from .neuralfield import save_parameters
-from .optimizer import RUN_FAILURES, OptimizationResult, run_optimization
+from .optimizer import RUN_FAILURES, AdamState, OptimizationResult, run_optimization
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -72,17 +73,8 @@ SETTINGS = (
     Setting("iters", "iterations", int, _at_least(1), "at least 1", flag=True),
     Setting("seed", "seed", int, _at_least(0), "at least 0", flag=True),
     Setting("load_scale", "load_scale", float, _positive, "positive and finite", flag=True),
-    Setting("learning_rate", "learning_rate", float, _positive, "positive and finite"),
     Setting("alpha_max", "alpha_max", float, _at_least(0.0), "non-negative and finite"),
-    Setting("gamma_max", "gamma_max", float, _at_least(0.0), "non-negative and finite"),
-    Setting("ramp_fraction", "ramp_fraction", float, lambda f: 0.0 <= f <= 1.0, "in [0, 1]"),
     Setting("fourier_m", "fourier_m", int, _at_least(1), "at least 1"),
-    Setting("fourier_scale", "fourier_scale", float, _at_least(0.0), "non-negative and finite"),
-    Setting("filter_epsilon", "filter_epsilon", float, _positive, "positive and finite"),
-    # FilterParams states the lower limit, log2 3
-    Setting("filter_sharpness", "filter_sharpness", float, math.isfinite, "finite and above log2 3"),
-    Setting("penal", "penal", float, _at_least(1.0), "at least 1 and finite"),
-    Setting("stress_exponent", "stress_exponent", float, _at_least(2.0), "at least 2 and finite"),
 )
 
 
@@ -90,8 +82,9 @@ SETTINGS = (
 class BenchmarkCase:
     """One optimization run: geometry, supports, loads, and hyperparameters.
 
-    Every field but ``name``, ``hidden_widths`` and ``alpha_start`` is a row
-    of :data:`SETTINGS`, which states its config key and legal range.
+    Every field but ``name`` and ``hidden_widths`` is a row of
+    :data:`SETTINGS`, which states its config key and legal range. The
+    method's constants, the same for every case, are class attributes.
     """
 
     name: str
@@ -104,23 +97,22 @@ class BenchmarkCase:
     sigma_allow: float = 2.3
     iterations: int = 600
     seed: int = 0
-    learning_rate: float = 0.01
-    alpha_start: float = 100.0
     alpha_max: float = 100.0
-    gamma_max: float = 50.0
-    ramp_fraction: float = 0.15
     fourier_m: int = 64
-    fourier_scale: float = 1.5
     hidden_widths: tuple = (64, 64)
-    filter_epsilon: float = 1e-4
-    filter_sharpness: float = 40.0
-    penal: float = 3.0
-    stress_exponent: float = 8.0
     # the same for every case
     elem_size: ClassVar[float] = 1.0
-    E0: ClassVar[float] = 1.0
-    Emin: ClassVar[float] = 1e-9
-    nu: ClassVar[float] = 0.3
+    E0: ClassVar[float] = MaterialModel.E0
+    Emin: ClassVar[float] = MaterialModel.Emin
+    nu: ClassVar[float] = MaterialModel.nu
+    penal: ClassVar[float] = MaterialModel.penal
+    stress_exponent: ClassVar[float] = StressAggregate.exponent
+    filter_epsilon: ClassVar[float] = FilterParams.epsilon
+    filter_sharpness: ClassVar[float] = FilterParams.sharpness
+    learning_rate: ClassVar[float] = AdamState.learning_rate
+    gamma_max: ClassVar[float] = 50.0
+    ramp_fraction: ClassVar[float] = 0.15
+    fourier_scale: ClassVar[float] = 1.5
     volume_feasible_tol: ClassVar[float] = 0.01
     stress_feasible_tol: ClassVar[float] = 0.02
 
@@ -131,9 +123,6 @@ class BenchmarkCase:
             value = getattr(self, setting.field)
             if not setting.legal(value):
                 raise ValueError(f"{setting.key} must be {setting.rule}, got {value!r}")
-        # the continuation sharpens geometrically from FILTER_SHARPNESS_START to
-        # filter_sharpness, so a legal target makes every step legal
-        FilterParams(self.filter_epsilon, self.filter_sharpness)
         if self.name == "simply_supported" and self.nely < 2:
             raise ValueError("simply_supported needs nely >= 2: its bottom layer is passive")
 
@@ -306,7 +295,7 @@ def _write_artifacts(
     save_parameters(run_dir / "weights.ckpt", result.parameters)
     summary = _summary(case, result, run_dir)
     with open(run_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 

@@ -95,11 +95,10 @@ class DensityRangeError(ValueError):
 
 def simp_modulus(rho: DiffValue, mat: MaterialModel) -> DiffValue:
     """Differentiable SIMP modulus per element."""
-    rv = rho.value
-    if np.any(rv < -1e-9) or np.any(rv > 1.0 + 1e-9):
-        raise DensityRangeError(
-            f"densities outside [0,1]: min {rv.min():.3e}, max {rv.max():.3e}"
-        )
+    # min and max are NaN when any density is, and NaN fails both bounds
+    lo, hi = rho.value.min(), rho.value.max()
+    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
+        raise DensityRangeError(f"densities outside [0,1]: min {lo:.3e}, max {hi:.3e}")
     return ad.power(rho, mat.penal) * (mat.E0 - mat.Emin) + mat.Emin
 
 

@@ -3,8 +3,9 @@
 The Fourier features and the first layer's Chebyshev basis are built once per
 run; each iteration re-records the rest of the pipeline on the tape: predict
 blueprint -> overhang filter -> assemble/solve -> compliance and stress ->
-loss -> backward -> Adam. Penalty weights ramp up over the early iterations
-and the returned design is the best feasible iterate, not simply the last.
+loss -> backward -> Adam. The stress weight ramps up once the continuation
+ends, and the returned design is the best feasible iterate, not simply the
+last.
 """
 
 from __future__ import annotations
@@ -120,12 +121,8 @@ class AdamState:
     learning_rate: float = 0.01
 
     @classmethod
-    def for_parameters(cls, params: list, learning_rate: float = 0.01) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-        )
+    def for_parameters(cls, params: list) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params: list, grads: list, state: AdamState) -> None:
@@ -208,10 +205,9 @@ class OptimizationResult:
 
 
 class Schedule(NamedTuple):
-    """The settings of one iteration: volume weight alpha, stress weight
-    gamma, Adam learning rate, SIMP exponent and overhang-filter surrogates."""
+    """The settings of one iteration: stress weight gamma, Adam learning
+    rate, SIMP exponent and overhang-filter surrogates."""
 
-    alpha: float
     gamma: float
     learning_rate: float
     penal: float
@@ -221,11 +217,11 @@ class Schedule(NamedTuple):
 def _schedule(it: int, case) -> Schedule:
     """The settings at iteration ``it``.
 
-    alpha and gamma ramp linearly over ``ramp_fraction`` of the run. gamma
-    stays 0 until the continuation has finished and only then starts its
-    ramp: the sqrt(E)-scaled stress of a gray field at a low SIMP exponent
-    is inflated (it scales as rho^(-p/2)), so an earlier stress term would
-    steer the design by a limit that the final design never reaches.
+    gamma stays 0 until the continuation has finished and then ramps
+    linearly over ``ramp_fraction`` of the run: the sqrt(E)-scaled stress of
+    a gray field at a low SIMP exponent is inflated (it scales as
+    rho^(-p/2)), so an earlier stress term would steer the design by a limit
+    that the final design never reaches.
 
     The learning rate warms up linearly over the first 3% of the run and is
     multiplied by LR_DECAY_FACTOR after LR_DECAY_AT of it.
@@ -239,11 +235,10 @@ def _schedule(it: int, case) -> Schedule:
     starves shadowed regions of gradient and strands the design in poor
     basins.
     """
-    ramp = max(1, int(round(case.ramp_fraction * case.iterations)))
     continuation = max(1, int(round(CONTINUATION_FRACTION * case.iterations)))
-    alpha = case.alpha_start + (case.alpha_max - case.alpha_start) * min(1.0, it / ramp)
     gamma = 0.0
     if case.stress_on:
+        ramp = max(1, int(round(case.ramp_fraction * case.iterations)))
         gamma = case.gamma_max * min(1.0, max(0, it - continuation) / ramp)
     lr = case.learning_rate
     warmup = max(1, int(round(0.03 * case.iterations)))
@@ -255,7 +250,7 @@ def _schedule(it: int, case) -> Schedule:
     penal = 1.0 + (case.penal - 1.0) * t
     eps = FILTER_EPSILON_START ** (1.0 - t) * case.filter_epsilon**t
     sharp = FILTER_SHARPNESS_START ** (1.0 - t) * case.filter_sharpness**t
-    return Schedule(alpha, gamma, lr, penal, FilterParams(eps, sharp))
+    return Schedule(gamma, lr, penal, FilterParams(eps, sharp))
 
 
 def run_optimization(case) -> OptimizationResult:
@@ -294,11 +289,11 @@ def run_optimization(case) -> OptimizationResult:
     layers = init_parameters(config, volume_target=case.volume_fraction)
     basis = chebyshev_basis(features, graph, CHEB_ORDER)
     arrays = parameter_arrays(layers)
-    adam = AdamState.for_parameters(arrays, case.learning_rate)
+    adam = AdamState.for_parameters(arrays)
 
     elem_vol = np.full(mesh.n_elems, mesh.elem_size**2)
     spec = LossSpec(
-        volume_weight=case.alpha_start,
+        volume_weight=case.alpha_max,
         stress_weight=0.0,
         volume_target=case.volume_fraction * elem_vol.sum(),
         sigma_allow=case.sigma_allow,
@@ -314,7 +309,7 @@ def run_optimization(case) -> OptimizationResult:
     for it in range(1, case.iterations + 1):
         t0 = time.perf_counter()
         schedule = _schedule(it, case)
-        spec.volume_weight, spec.stress_weight = schedule.alpha, schedule.gamma
+        spec.stress_weight = schedule.gamma
         adam.learning_rate = schedule.learning_rate
         mat = MaterialModel(case.E0, case.Emin, case.nu, schedule.penal)
         tape.reset()
@@ -330,6 +325,9 @@ def run_optimization(case) -> OptimizationResult:
                 spec.compliance_scale = max(float(c.value), 1e-30)
             stress = centroid_stress(u, rho, mesh, mat)
             pn = p_norm_stress(stress, agg)
+            for name, value in (("compliance", c.value), ("sigma_PN", pn.value)):
+                if not np.isfinite(value):
+                    raise NumericDomainError(f"{name} is not finite: {float(value)}")
             excess = pn - case.stress_feasible_tol if case.stress_on else None
             loss = composite_loss(c, rho, excess, spec)
             vf = float(rho.value @ elem_vol) / elem_vol.sum()

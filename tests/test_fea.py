@@ -144,6 +144,8 @@ def test_simp_modulus_rejects_out_of_range():
         fea.simp_modulus(t.leaf(np.array([1.1])), mat)
     with pytest.raises(ValueError):
         fea.simp_modulus(t.leaf(np.array([-0.1])), mat)
+    with pytest.raises(fea.DensityRangeError, match="nan"):
+        fea.simp_modulus(t.leaf(np.array([0.5, np.nan])), mat)
 
 
 def test_material_model_validation():

@@ -156,7 +156,7 @@ def test_adam_zero_gradient_leaves_parameters():
 
 def test_adam_constant_gradient_step_approaches_lr():
     params = [np.zeros(1)]
-    state = opt.AdamState.for_parameters(params, learning_rate=0.01)
+    state = opt.AdamState.for_parameters(params)
     prev = params[0].copy()
     for _ in range(300):
         prev = params[0].copy()
@@ -166,7 +166,7 @@ def test_adam_constant_gradient_step_approaches_lr():
 
 def test_adam_quadratic_converges():
     params = [np.array([0.0])]
-    state = opt.AdamState.for_parameters(params, learning_rate=0.01)
+    state = opt.AdamState.for_parameters(params)
     for _ in range(2000):
         grad = 2.0 * (params[0] - 3.0)
         opt.adam_step(params, [grad], state)
@@ -185,7 +185,6 @@ def test_adam_rejects_nonfinite_gradient():
 def test_schedules():
     case = tf.preset("simply_supported", iterations=100)
     first, end = opt._schedule(1, case), opt._schedule(100, case)
-    assert end.alpha == case.alpha_max
     assert first.gamma == 0.0  # stress off by default preset
     stress_case = tf.preset("simply_supported", iterations=100, stress_on=True)
     assert opt._schedule(100, stress_case).gamma == stress_case.gamma_max
@@ -260,7 +259,6 @@ def test_stress_limit_binds_only_when_reached():
         nelx=16,
         nely=6,
         iterations=300,
-        alpha_start=400.0,
         alpha_max=400.0,
         fourier_m=8,
         hidden_widths=(16,),
