@@ -427,7 +427,7 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, caps
     "overrides",
     [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
      dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0),
-     dict(nely=1)],
+     dict(alpha_max=float("nan")), dict(load_scale=float("inf")), dict(nely=1)],
 )
 def test_benchmark_case_rejects_out_of_range_values(overrides):
     with pytest.raises(ValueError):
