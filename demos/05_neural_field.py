@@ -26,8 +26,7 @@ print(f"blueprint: shape {b.value.shape}, range ({b.value.min():.3f}, {b.value.m
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "weights.ckpt"
     save_parameters(path, layers)
-    print(f"\ncheckpoint: {path.stat().st_size} bytes "
-          f"(name/shape header + little-endian float64 per array)")
+    print(f"\ncheckpoint: {path.stat().st_size} bytes (numpy .npz archive)")
     reloaded = load_parameters(path)
     same = all(
         np.array_equal(wa, wb)

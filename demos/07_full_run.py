@@ -27,8 +27,9 @@ for key in ("final_compliance", "final_volfrac", "final_sigma_pn", "best_iterati
     print(f"  {key}: {summary[key]}")
 print("artifacts in", summary["out_dir"])
 
-field = tf.cli.import_density_csv(f"{summary['out_dir']}/density.csv")
-binary = (field.values > 0.5).astype(float)
+# density.csv holds nely rows of nelx values, top layer first
+printed = np.flipud(np.loadtxt(f"{summary['out_dir']}/density.csv", delimiter=",", ndmin=2))
+binary = (printed > 0.5).astype(float)
 violations = overhang_violations(binary)
 solid = int(binary.sum())
 print(f"\nprintability of the thresholded design: {violations} violating elements "
@@ -36,5 +37,5 @@ print(f"\nprintability of the thresholded design: {violations} violating element
 
 chars = " .:-=+*#%@"
 print("\nprinted density (top layer first):")
-for row in np.flipud(field.values):
+for row in np.flipud(printed):
     print("  " + "".join(chars[min(9, int(v * 9.999))] for v in row))

@@ -32,7 +32,7 @@ class FilterParams:
     sharpness: float = 40.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.root_exponent > 0:
             raise ValueError(

@@ -16,8 +16,8 @@ import numpy as np
 
 
 class NumericDomainError(ArithmeticError):
-    """An operation was evaluated outside its numeric domain (division by
-    zero, sqrt or fractional power of a negative, negative power of zero)."""
+    """An operation was evaluated outside its numeric domain (sqrt or
+    fractional power of a negative, negative power of zero)."""
 
     def __init__(self, message: str, node: int | None = None):
         if node is not None:
@@ -139,12 +139,6 @@ class DiffValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
@@ -213,14 +207,6 @@ def sub(a, b) -> DiffValue:
 def mul(a, b) -> DiffValue:
     av, bv = _raw(a), _raw(b)
     return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
-
-
-def div(a, b) -> DiffValue:
-    tape = _tape_of(a, b)
-    av, bv = _raw(a), _raw(b)
-    if np.any(bv == 0.0):
-        raise NumericDomainError("division by zero", node=len(tape))
-    return _binary(a, b, av / bv, lambda g: g / bv, lambda g: -g * av / (bv * bv))
 
 
 def power(x: DiffValue, exponent: float) -> DiffValue:
@@ -323,45 +309,27 @@ def gather(x: DiffValue, index) -> DiffValue:
 
 
 def matmul(a, b) -> DiffValue:
-    """Matrix product with either operand differentiable.
+    """Matrix product (m,k)@(k,) or (m,k)@(k,n) with either operand
+    differentiable.
 
-    The constant operand may be a scipy sparse matrix (used for the scaled
-    Laplacian); differentiable operands are dense. Supports (m,k)@(k,),
-    (m,k)@(k,n) and (k,)@(k,n).
+    A constant left operand may be a scipy sparse matrix (used for the
+    scaled Laplacian); differentiable operands are dense.
     """
     tape = _tape_of(a, b)
-    av_is_sparse = not isinstance(a, DiffValue) and hasattr(a, "tocsr")
-    av = a if av_is_sparse else _raw(a)
+    av = a if not isinstance(a, DiffValue) and hasattr(a, "tocsr") else _raw(a)
     bv = _raw(b)
-    a_nd = 2 if av_is_sparse else av.ndim
-    if (a_nd == 0 or bv.ndim == 0) or (a_nd == 1 and bv.ndim == 1):
-        raise ValueError("matmul requires matrix@vector, matrix@matrix or vector@matrix")
-    ashape = av.shape
-    if ashape[-1] != bv.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {ashape} @ {bv.shape}")
+    if av.ndim != 2 or bv.ndim not in (1, 2):
+        raise ValueError("matmul requires matrix@vector or matrix@matrix")
+    if av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
     val = av @ bv
-
-    def vjp_a(g):
-        if bv.ndim == 1:
-            return np.outer(g, bv) if a_nd == 2 else g * bv
-        if a_nd == 1:
-            return bv @ g
-        return g @ bv.T
-
-    def vjp_b(g):
-        if av_is_sparse:
-            return av.T @ g
-        if a_nd == 1:
-            return np.outer(av, g) if bv.ndim == 2 else av * g
-        return av.T @ g
-
     inputs, vjps = [], []
     if isinstance(a, DiffValue):
         inputs.append(a.nid)
-        vjps.append(vjp_a)
+        vjps.append(lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T)
     if isinstance(b, DiffValue):
         inputs.append(b.nid)
-        vjps.append(vjp_b)
+        vjps.append(lambda g: av.T @ g)
 
     def vjp(g):
         return tuple(fn(g) for fn in vjps)

@@ -225,7 +225,7 @@ def export_density(field: DensityField, fmt: str, path, elem_size: float = 1.0) 
     grid spacing ``elem_size``."""
     path = Path(path)
     grid = field.values
-    if grid.min() < -1e-9 or grid.max() > 1.0 + 1e-9:
+    if not (grid.min() >= -1e-9 and grid.max() <= 1.0 + 1e-9):  # NaN fails
         raise ValueError("density values must lie in [0, 1]")
     grid = np.clip(grid, 0.0, 1.0)
     if fmt == "pgm":
@@ -250,11 +250,6 @@ def export_density(field: DensityField, fmt: str, path, elem_size: float = 1.0) 
     else:
         raise ValueError(f"unknown export format {fmt!r}")
     return path
-
-
-def import_density_csv(path, kind: str = "printed") -> DensityField:
-    grid = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    return DensityField(np.flipud(grid), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +432,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         case, out_dir = _case_from_args(args)
+        # an output root that cannot be a directory fails here, before any run
+        out_root = Path(out_dir)
+        made = [path for path in (out_root, *out_root.parents) if not path.exists()]
+        out_root.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     if args.command == "run":
         try:
-            summary = run_case(case, out_dir)
+            summary = run_case(case, out_root)
         except SolverFailureError as err:
+            for path in made:  # a failed run leaves no directory behind
+                path.rmdir()
             print(f"solver failure: {err}", file=sys.stderr)
             return 3
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
-    comparison = compare_benchmark(case, args.seeds, out_dir)
+    comparison = compare_benchmark(case, args.seeds, out_root)
     print(comparison.render())
-    out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
     comparison.to_csv(out_root / f"comparison-{case.name}.csv")
     return 0
 

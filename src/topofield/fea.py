@@ -42,7 +42,7 @@ class MaterialModel:
             raise ValueError("need 0 < Emin < E0")
         if not 0.0 < self.nu < 0.5:
             raise ValueError("need 0 < nu < 0.5")
-        if self.penal < 1.0:
+        if not self.penal >= 1.0:
             raise ValueError("need penal >= 1")
 
     def modulus(self, rho: np.ndarray) -> np.ndarray:
@@ -345,9 +345,9 @@ class StressAggregate:
     excluded: tuple = ()
 
     def __post_init__(self):
-        if self.sigma_allow <= 0:
+        if not self.sigma_allow > 0:
             raise ValueError("sigma_allow must be positive")
-        if self.exponent < 2:
+        if not self.exponent >= 2:
             raise ValueError("aggregation exponent must be >= 2")
         if any(int(e) != e or e < 0 for e in self.excluded):
             raise ValueError("excluded elements must be non-negative indices")

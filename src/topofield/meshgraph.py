@@ -73,7 +73,7 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     """
     if nelx < 1 or nely < 1:
         raise ValueError(f"mesh dimensions must be positive, got {nelx}x{nely}")
-    if elem_size <= 0:
+    if not elem_size > 0:
         raise ValueError("elem_size must be positive")
     h = float(elem_size)
 
@@ -181,7 +181,7 @@ def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError("scale must be non-negative")
     pts = np.atleast_2d(np.asarray(centroids, dtype=float))
     if not np.all(np.isfinite(pts)):

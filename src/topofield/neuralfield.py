@@ -16,6 +16,7 @@ equal the network composed on the tape node by node bit for bit.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
 from .meshgraph import ElementGraph
-
-_CKPT_MAGIC = b"TOPOFIELD-PARAMS v1\n"
 
 
 @dataclass
@@ -286,46 +285,31 @@ class NetworkPass:
 
 
 def save_parameters(path, layers: list[ChebLayerParams]) -> None:
-    """Checkpoint format: magic line, then per array an ASCII header line
-    "<name> <dim0>[,<dim1>]" followed by the raw little-endian float64 bytes
-    (C order), terminated by an "end" line."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        for i, layer in enumerate(layers):
-            arrays = [(f"layer{i}.theta{k}", w) for k, w in enumerate(layer.weights)]
-            arrays.append((f"layer{i}.bias", layer.bias))
-            for name, arr in arrays:
-                arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
-                shape = ",".join(str(d) for d in arr.shape)
-                fh.write(f"{name} {shape}\n".encode())
-                fh.write(arr.tobytes())
-        fh.write(b"end\n")
+    """Write the layers' arrays to ``path`` as a numpy .npz archive, named
+    ``layer<i>.theta<k>`` and ``layer<i>.bias``."""
+    arrays = {}
+    for i, layer in enumerate(layers):
+        arrays.update({f"layer{i}.theta{k}": w for k, w in enumerate(layer.weights)})
+        arrays[f"layer{i}.bias"] = layer.bias
+    with open(path, "wb") as fh:  # np.savez would append .npz to a name
+        np.savez(fh, **arrays)
 
 
 def load_parameters(path) -> list[ChebLayerParams]:
-    """Load a checkpoint written by :func:`save_parameters`."""
+    """Load a checkpoint written by :func:`save_parameters`; any file that
+    is not such an archive raises ValueError."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(_CKPT_MAGIC):
-        raise ValueError(f"{path}: not a topofield parameter checkpoint")
-    arrays: dict[str, np.ndarray] = {}
-    pos = len(_CKPT_MAGIC)
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            raise ValueError("unexpected end of checkpoint file")
-        header = data[pos:newline].decode()
-        pos = newline + 1
-        if header == "end":
-            break
-        name, shape_txt = header.rsplit(" ", 1)
-        shape = tuple(int(d) for d in shape_txt.split(","))
-        count = int(np.prod(shape))
-        raw = data[pos:pos + 8 * count]
-        if len(raw) != 8 * count:
-            raise ValueError(f"{path}: truncated array {name!r}")
-        pos += len(raw)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("it holds a bare array")
+            arrays = {name: archive[name] for name in archive.files}
+        # a damaged zip directory can also send a seek astray (OSError), or
+        # name an unknown zip version (NotImplementedError) or flag an entry
+        # as encrypted (RuntimeError)
+        except (ValueError, EOFError, OSError, NotImplementedError, RuntimeError,
+                zipfile.BadZipFile) as err:
+            raise ValueError(f"{path}: not a topofield parameter checkpoint: {err}") from err
     layers = []
     i = 0
     while f"layer{i}.bias" in arrays:

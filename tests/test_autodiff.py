@@ -110,7 +110,6 @@ def test_elementwise_gradients_match_fd(rng):
     x0 = rng.uniform(0.2, 0.9, 6)
     cases = [
         lambda x: (x * x + 2.0 * x).sum(),
-        lambda x: (x / (1.0 + x)).sum(),
         lambda x: ad.power(x, 3.7).sum(),
         lambda x: ad.sqrt(x).sum(),
         lambda x: ad.sigmoid(x).sum(),
@@ -188,6 +187,19 @@ def test_matmul_dimension_mismatch():
     t = ad.Tape()
     with pytest.raises(ValueError):
         ad.matmul(np.eye(3), t.leaf(np.ones(4)))
+    # only matrix@vector and matrix@matrix are products on the tape
+    with pytest.raises(ValueError):
+        ad.matmul(np.ones(3), t.leaf(np.eye(3)))
+
+
+def test_tape_values_do_not_divide():
+    # the program multiplies by a constant's reciprocal, v * (1.0 / c), instead
+    t = ad.Tape()
+    x = t.leaf(np.array([1.0, 2.0]))
+    with pytest.raises(TypeError):
+        x / 2.0
+    with pytest.raises(TypeError):
+        1.0 / x
 
 
 def test_gather_scatter_adds(rng):
@@ -220,8 +232,6 @@ def test_reshape_roundtrips_gradient(rng):
 def test_domain_errors():
     t = ad.Tape()
     x = t.leaf(np.array([1.0, 0.0]))
-    with pytest.raises(ad.NumericDomainError):
-        x / t.leaf(np.array([1.0, 0.0]))
     with pytest.raises(ad.NumericDomainError):
         ad.sqrt(t.leaf(-1.0))
     with pytest.raises(ad.NumericDomainError):

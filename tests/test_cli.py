@@ -105,12 +105,22 @@ def test_export_pgm_all_solid(tmp_path):
 
 
 def test_export_csv_roundtrip(tmp_path):
+    # the documented layout, read back: nely rows, nelx columns, top first
     rng = np.random.default_rng(0)
-    field = DensityField(rng.uniform(size=(4, 6)), kind="printed")
-    path = cli.export_density(field, "csv", tmp_path / "d.csv")
-    back = cli.import_density_csv(path)
-    assert back.values.shape == (4, 6)
-    assert np.abs(back.values - field.values).max() < 1e-6
+    for shape in ((4, 6), (3, 1), (1, 5), (1, 1)):
+        field = DensityField(rng.uniform(size=shape), kind="printed")
+        path = cli.export_density(field, "csv", tmp_path / "d.csv")
+        back = np.flipud(np.loadtxt(path, delimiter=",", ndmin=2))
+        assert back.shape == shape
+        assert np.abs(back - field.values).max() < 1e-6
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "csv", "vtk"])
+def test_export_rejects_nan_densities(tmp_path, fmt):
+    field = DensityField(np.array([[0.5, np.nan]]), kind="printed")
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        cli.export_density(field, fmt, tmp_path / f"d.{fmt}")
+    assert not (tmp_path / f"d.{fmt}").exists()
 
 
 def test_export_vtk_structure(tmp_path):
@@ -256,6 +266,22 @@ def test_cli_stress_only_run_is_labelled_stress(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_dir_naming_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # the output root is made before any run, so the error costs no run
+    def must_not_run(case):
+        raise AssertionError("an optimization ran")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    args = [command, "--case", "simply_supported", "--nelx", "6", "--nely", "3",
+            "--iters", "1", "--out-dir", str(afile)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert afile.read_text() == ""
+
+
 def test_failed_run_leaves_no_directory(tmp_path, monkeypatch, capsys):
     def failing(case):
         raise SolverFailureError("reduced stiffness is singular")
@@ -264,6 +290,17 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch, capsys):
     assert cli.main(_smoke_args(tmp_path / "out")) == 3
     assert "singular" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    def failing(case):
+        raise SolverFailureError("reduced stiffness is singular")
+
+    monkeypatch.setattr(cli, "run_optimization", failing)
+    (tmp_path / "kept").mkdir()
+    assert cli.main(_smoke_args(tmp_path / "kept" / "a" / "b")) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert not any((tmp_path / "kept").iterdir())
 
 
 def _tiny_compare_case():
@@ -483,6 +520,22 @@ def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
     _fixed, _f, passive = case.build_problem(mesh)
     rebuilt = DensityField.from_flat(apply_passive(b, passive).value, case.nelx, case.nely)
     assert np.array_equal(rebuilt.values, result.blueprint.values)
+
+
+def test_checkpoint_round_trips_through_the_run_artifacts(tmp_path):
+    from topofield import neuralfield as nf
+
+    case = cli.preset("tip_cantilever", nelx=6, nely=3, iterations=3,
+                      fourier_m=4, hidden_widths=(5, 4))
+    result = tf.run_optimization(case)
+    cli._write_artifacts(case, result, tmp_path, "run")
+    layers = nf.load_parameters(tmp_path / "run" / "weights.ckpt")
+    saved = nf.parameter_arrays(result.parameters)
+    loaded = nf.parameter_arrays(layers)
+    assert [a.shape for a in loaded] == [a.shape for a in saved]
+    for a, b in zip(saved, loaded):
+        assert b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 def test_readme_documents_every_run_flag_and_config_key():

@@ -390,6 +390,23 @@ def test_aggregate_validation():
         tf.StressAggregate(1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tf.FilterParams(epsilon=np.nan),
+        lambda: tf.MaterialModel(penal=np.nan),
+        lambda: tf.StressAggregate(np.nan),
+        lambda: tf.StressAggregate(1.0, np.nan),
+        lambda: tf.build_mesh(3, 2, np.nan),
+        lambda: tf.fourier_encode(np.zeros((2, 2)), m=2, scale=np.nan, seed=0),
+    ],
+    ids=["filter-epsilon", "penal", "sigma-allow", "exponent", "elem-size", "fourier-scale"],
+)
+def test_range_checks_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_aggregate_excluded_validation():
     with pytest.raises(ValueError):
         tf.StressAggregate(1.0, 8.0, excluded=(-1,))

@@ -1,3 +1,6 @@
+import io
+import zipfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,16 +218,37 @@ def test_checkpoint_rejects_other_files(tmp_path):
         nf.load_parameters(path)
 
 
+def _saved_bytes(save, *args, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+def _zip_directory_byte(data: bytes, offset: int, value: int) -> bytes:
+    """``data`` with one byte of its first zip directory entry replaced."""
+    at = data.index(b"PK\x01\x02") + offset
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+NOT_A_CHECKPOINT = "not a topofield parameter checkpoint"
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
-        # the last array loses its final byte, then the end line goes too
-        (lambda data: data[: -len(b"end\n") - 1], r"truncated array 'layer1\.bias'"),
-        (lambda data: data[: -len(b"end\n")], "unexpected end of checkpoint file"),
-        (lambda data: data[: -len(b"end")], "unexpected end of checkpoint file"),
-        (lambda data: b"TOPOFIELD-PARAMS v1\nend\n", "checkpoint holds no layers"),
+        (lambda data: data[: len(data) // 2], NOT_A_CHECKPOINT),
+        (lambda data: _saved_bytes(np.savez, weights=np.zeros(3)), "checkpoint holds no layers"),
+        (lambda data: _saved_bytes(np.save, np.zeros((2, 1))), NOT_A_CHECKPOINT),
+        # the hand-written format this archive replaced
+        (lambda data: b"TOPOFIELD-PARAMS v1\nlayer0.bias 1\n" + bytes(8) + b"end\n", NOT_A_CHECKPOINT),
+        (lambda data: b"", NOT_A_CHECKPOINT),
+        (lambda data: data[:40] + data[41:], NOT_A_CHECKPOINT),
+        # zipfile raises RuntimeError and NotImplementedError for these
+        (lambda data: _zip_directory_byte(data, 8, 1), NOT_A_CHECKPOINT),
+        (lambda data: _zip_directory_byte(data, 6, 99), NOT_A_CHECKPOINT),
     ],
-    ids=["truncated-array", "no-end-line", "unfinished-end-line", "no-layers"],
+    ids=["truncated-array", "no-layers", "bare-npy", "old-format", "empty",
+         "deleted-byte", "encrypted-entry", "unknown-zip-version"],
 )
 def test_checkpoint_rejects_damaged_files(tmp_path, damage, message):
     path = tmp_path / "weights.ckpt"
@@ -232,6 +256,22 @@ def test_checkpoint_rejects_damaged_files(tmp_path, damage, message):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         nf.load_parameters(path)
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path):
+    # every entry of the archive carries the fixed zip epoch, so a run
+    # directory compares byte for byte with another of the same run
+    layers = nf.init_parameters(nf.NetworkConfig((5, 3, 1), cheb_order=2, seed=4))
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    nf.save_parameters(first, layers)
+    nf.save_parameters(second, layers)
+    assert first.read_bytes() == second.read_bytes()
+    with zipfile.ZipFile(first) as archive:
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert sorted(archive.namelist()) == sorted(
+            f"layer{i}.{name}.npy" for i in range(2)
+            for name in ("theta0", "theta1", "theta2", "bias")
+        )
 
 
 def test_network_config_validation():
