@@ -32,11 +32,12 @@ class FilterParams:
     sharpness: float = 40.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.root_exponent > 0:
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.root_exponent < math.inf:
             raise ValueError(
-                f"sharpness must exceed log2(3) = {math.log2(3):.6f}, got {self.sharpness!r}"
+                f"sharpness must be finite and exceed log2(3) = {math.log2(3):.6f}, "
+                f"got {self.sharpness!r}"
             )
 
     @property

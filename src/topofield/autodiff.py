@@ -116,10 +116,6 @@ class DiffValue:
         self.nid = nid
         self.value = value
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def sum(self):
         return total(self)
 
@@ -131,25 +127,10 @@ class DiffValue:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __repr__(self):
         return f"DiffValue(nid={self.nid}, value={self.value!r})"

@@ -42,8 +42,8 @@ class MaterialModel:
             raise ValueError("need 0 < Emin < E0")
         if not 0.0 < self.nu < 0.5:
             raise ValueError("need 0 < nu < 0.5")
-        if not self.penal >= 1.0:
-            raise ValueError("need penal >= 1")
+        if not 1.0 <= self.penal < np.inf:
+            raise ValueError("need finite penal >= 1")
 
     def modulus(self, rho: np.ndarray) -> np.ndarray:
         return self.Emin + rho ** self.penal * (self.E0 - self.Emin)
@@ -306,10 +306,6 @@ class StressField:
     von_mises: DiffValue
     modulus: DiffValue
 
-    @property
-    def sigma_components(self) -> np.ndarray:
-        return np.column_stack([self.sxx.value, self.syy.value, self.sxy.value])
-
 
 def centroid_stress(
     u: DiffValue, rho: DiffValue, mesh: StructuredMesh, mat: MaterialModel
@@ -345,11 +341,11 @@ class StressAggregate:
     excluded: tuple = ()
 
     def __post_init__(self):
-        if not self.sigma_allow > 0:
-            raise ValueError("sigma_allow must be positive")
-        if not self.exponent >= 2:
-            raise ValueError("aggregation exponent must be >= 2")
-        if any(int(e) != e or e < 0 for e in self.excluded):
+        if not 0 < self.sigma_allow < np.inf:
+            raise ValueError("sigma_allow must be positive and finite")
+        if not 2 <= self.exponent < np.inf:
+            raise ValueError("aggregation exponent must be finite and >= 2")
+        if not all(0 <= e < np.inf and int(e) == e for e in self.excluded):
             raise ValueError("excluded elements must be non-negative indices")
 
     def covered(self, n_elems: int) -> np.ndarray:

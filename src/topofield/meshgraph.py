@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-POWER_ITERS = 100
-POWER_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class StructuredMesh:
@@ -57,13 +54,10 @@ class StructuredMesh:
 
 @dataclass(frozen=True)
 class ElementGraph:
-    """Element-adjacency graph with its normalized and scaled Laplacians."""
+    """Element-adjacency graph with its scaled Laplacian."""
 
     adjacency: sp.csr_array
-    degree: np.ndarray
-    laplacian_norm: sp.csr_array
     laplacian_scaled: sp.csr_array
-    lambda_max: float
 
 
 def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
@@ -73,8 +67,8 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     """
     if nelx < 1 or nely < 1:
         raise ValueError(f"mesh dimensions must be positive, got {nelx}x{nely}")
-    if not elem_size > 0:
-        raise ValueError("elem_size must be positive")
+    if not 0 < elem_size < np.inf:
+        raise ValueError("elem_size must be positive and finite")
     h = float(elem_size)
 
     jx, iy = np.meshgrid(np.arange(nelx + 1), np.arange(nely + 1))
@@ -100,67 +94,25 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
 def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
     """Element graph with 4-neighborhood edges (shared mesh edge).
 
-    The normalized Laplacian is D^{-1/2} A D^{-1/2} - I with the diagonal
-    entries of isolated (degree-0) elements zeroed so their rows vanish.
-    The scaled Laplacian 2 L / lambda_max - I uses the dominant eigenvalue
-    found by power iteration, inflated by 1% so the scaled spectrum stays
-    inside [-1, 1] even with an inexact estimate.
+    The normalized Laplacian is L = D^{-1/2} A D^{-1/2} - I, and ChebNet's
+    scaled Laplacian is 2 L / lambda_max - I. The grid graph is bipartite
+    (colour the elements like a chessboard), so lambda_max = -2 on any mesh
+    with an edge and the scaled Laplacian is -D^{-1/2} A D^{-1/2}, whose
+    spectrum spans [-1, 1] exactly. A lone element's row stays empty.
     """
-    nelx, nely, n = mesh.nelx, mesh.nely, mesh.n_elems
-    ids = np.arange(n).reshape(nely, nelx)
-    pairs = []
-    if nelx > 1:
-        pairs.append(np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]))
-    if nely > 1:
-        pairs.append(np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()]))
-    if pairs:
-        e = np.vstack(pairs)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(rows.size)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0)
-    adjacency = sp.csr_array((data, (rows, cols)), shape=(n, n))
-    degree = np.asarray(adjacency.sum(axis=1)).ravel()
-
-    with np.errstate(divide="ignore"):
-        dinv = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1)), 0.0)
-    dhalf = sp.diags_array(dinv, format="csr")
-    lap = (dhalf @ adjacency @ dhalf).tocsr()
-    diag = np.where(degree > 0, -1.0, 0.0)
-    lap = (lap + sp.diags_array(diag, format="csr")).tocsr()
-
-    lam = _dominant_eigenvalue(lap)
-    if abs(lam) < 1e-12:
-        # empty Laplacian (single isolated element): 2L/lam - I degenerates to -I
-        scaled = sp.diags_array(-np.ones(n), format="csr")
-        lam = 0.0
-    else:
-        lam = lam * 1.01
-        scaled = (lap * (2.0 / lam) - sp.diags_array(np.ones(n))).tocsr()
-
-    return ElementGraph(adjacency, degree, lap, scaled, float(lam))
-
-
-def _dominant_eigenvalue(matrix: sp.csr_array) -> float:
-    """Signed dominant eigenvalue of a symmetric matrix by power iteration:
-    at most POWER_ITERS steps, stopping at relative change POWER_TOL."""
-    n = matrix.shape[0]
-    v = np.random.default_rng(1234).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (matrix @ v))
-        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+    n = mesh.n_elems
+    ids = np.arange(n).reshape(mesh.nely, mesh.nelx)
+    pairs = np.vstack([
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()]),
+    ])
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adjacency = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    degree = adjacency.sum(axis=1)
+    # a lone element (degree 0) has an empty row, whatever scale it is given
+    dhalf = sp.diags_array(1.0 / np.sqrt(np.maximum(degree, 1)), format="csr")
+    return ElementGraph(adjacency, -(dhalf @ adjacency @ dhalf))
 
 
 def normalize_centroids(mesh: StructuredMesh) -> np.ndarray:
@@ -181,8 +133,8 @@ def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not scale >= 0:
-        raise ValueError("scale must be non-negative")
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be non-negative and finite")
     pts = np.atleast_2d(np.asarray(centroids, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValueError("centroids must be finite")

@@ -114,7 +114,7 @@ def test_elementwise_gradients_match_fd(rng):
         lambda x: ad.sqrt(x).sum(),
         lambda x: ad.sigmoid(x).sum(),
         lambda x: ad.relu(x - 0.5).sum(),
-        lambda x: (2.0 - x).sum(),
+        lambda x: ad.sub(2.0, x).sum(),
     ]
     for build in cases:
         _fd_check(build, x0)

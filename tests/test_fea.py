@@ -282,7 +282,8 @@ def test_zero_displacement_zero_stress():
     mesh = tf.build_mesh(2, 2)
     stress = _uniform_strain_stress(mesh, tf.MaterialModel(), 0.0, 0.0, 0.0, 0.6)
     assert np.all(stress.von_mises.value == 0.0)
-    assert np.all(stress.sigma_components == 0.0)
+    for component in (stress.sxx, stress.syy, stress.sxy):
+        assert np.all(component.value == 0.0)
 
 
 def test_stress_components_match_independent_assembly(rng):
@@ -304,9 +305,10 @@ def test_stress_components_match_independent_assembly(rng):
     b[1, 1::2] = eta / 2.0
     b[2, 0::2] = eta / 2.0
     b[2, 1::2] = xi / 2.0
+    components = np.column_stack([stress.sxx.value, stress.syy.value, stress.sxy.value])
     for e in range(mesh.n_elems):
         sigma = d @ b @ u.value[mesh.dof_map[e]]
-        assert np.allclose(stress.sigma_components[e], sigma, rtol=1e-12, atol=1e-14)
+        assert np.allclose(components[e], sigma, rtol=1e-12, atol=1e-14)
 
 
 def test_pnorm_all_at_allowable_is_zero():
@@ -403,6 +405,26 @@ def test_aggregate_validation():
     ids=["filter-epsilon", "penal", "sigma-allow", "exponent", "elem-size", "fourier-scale"],
 )
 def test_range_checks_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tf.FilterParams(epsilon=np.inf),
+        lambda: tf.FilterParams(sharpness=np.inf),
+        lambda: tf.MaterialModel(penal=np.inf),
+        lambda: tf.StressAggregate(np.inf),
+        lambda: tf.StressAggregate(1.0, np.inf),
+        lambda: tf.StressAggregate(1.0, 8.0, excluded=(np.inf,)),
+        lambda: tf.build_mesh(3, 2, np.inf),
+        lambda: tf.fourier_encode(np.zeros((2, 2)), m=2, scale=np.inf, seed=0),
+    ],
+    ids=["filter-epsilon", "sharpness", "penal", "sigma-allow", "exponent", "excluded",
+         "elem-size", "fourier-scale"],
+)
+def test_range_checks_reject_infinity(build):
     with pytest.raises(ValueError):
         build()
 

@@ -56,7 +56,7 @@ def test_centroids_strictly_inside_domain():
 
 def test_graph_2x2_four_edges_degree_two():
     graph = build_element_graph(build_mesh(2, 2))
-    assert np.all(graph.degree == 2)
+    assert np.all(graph.adjacency.sum(axis=1) == 2)
     assert graph.adjacency.sum() == 8  # 4 undirected edges
 
 
@@ -70,8 +70,7 @@ def test_graph_adjacency_symmetric_empty_diagonal():
 def test_graph_1x1_degenerate():
     graph = build_element_graph(build_mesh(1, 1))
     assert graph.adjacency.toarray().sum() == 0
-    assert np.all(np.isfinite(graph.laplacian_norm.toarray()))
-    assert np.allclose(graph.laplacian_scaled.toarray(), -np.eye(1))
+    assert np.array_equal(graph.laplacian_scaled.toarray(), [[0.0]])
 
 
 def test_scaled_laplacian_spectrum_3x3():
@@ -96,14 +95,18 @@ def test_sparse_matches_dense_products():
         assert np.abs(graph.laplacian_scaled @ v - dense @ v).max() < 1e-12
 
 
-def test_power_iteration_dominates_rayleigh_quotients():
-    rng = np.random.default_rng(11)
-    graph = build_element_graph(build_mesh(6, 4))
-    lap = graph.laplacian_norm
-    for _ in range(20):
-        v = rng.standard_normal(24)
-        rayleigh = abs(v @ (lap @ v)) / (v @ v)
-        assert abs(graph.lambda_max) >= rayleigh - 1e-6
+def test_scaled_laplacian_spectrum_spans_unit_interval():
+    # the grid graph is bipartite, so the scaled Laplacian -D^-1/2 A D^-1/2
+    # has both -1 and 1 as eigenvalues and nothing outside them
+    for nelx, nely in [(2, 1), (5, 1), (1, 4), (3, 3), (6, 4), (17, 22), (11, 43), (60, 20)]:
+        graph = build_element_graph(build_mesh(nelx, nely))
+        lap = graph.laplacian_scaled.toarray()
+        eigs = np.linalg.eigvalsh(lap)
+        assert abs(eigs[0] + 1.0) <= 1e-12, (nelx, nely, eigs[0])
+        assert abs(eigs[-1] - 1.0) <= 1e-12, (nelx, nely, eigs[-1])
+        adjacency = graph.adjacency.toarray()
+        degree = adjacency.sum(axis=1)
+        assert np.allclose(lap, -adjacency / np.sqrt(np.outer(degree, degree)), rtol=0, atol=1e-15)
 
 
 def test_rebuild_determinism():
@@ -111,7 +114,6 @@ def test_rebuild_determinism():
     b = build_element_graph(build_mesh(6, 3))
     assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
     assert np.array_equal(a.laplacian_scaled.toarray(), b.laplacian_scaled.toarray())
-    assert a.lambda_max == b.lambda_max
 
 
 def test_fourier_zero_scale_limit():

@@ -18,7 +18,7 @@ from conftest import composed_blueprint, rel_err
 
 def _zero_laplacian_graph(n):
     zero = sp.csr_array(sp.coo_array((n, n)))
-    return ElementGraph(zero, np.zeros(n), zero, zero, 0.0)
+    return ElementGraph(zero, zero)
 
 
 def _one_layer_blueprint(features, graph, weights, bias):
@@ -78,6 +78,16 @@ def test_spectral_identity_small_graphs():
         for k in range(5):
             spectral = vec @ np.diag(t_eig[k]) @ vec.T
             assert np.abs(t_mat[k] - spectral).max() < 1e-9, (nelx, nely, k)
+
+
+def test_chebyshev_terms_do_not_grow(rng):
+    # |T_k| <= 1 on [-1, 1], so no term of the recursion outgrows the features
+    for nelx, nely in [(5, 1), (1, 4), (17, 22), (11, 43), (60, 20)]:
+        graph = build_element_graph(build_mesh(nelx, nely))
+        x = rng.standard_normal((nelx * nely, 3))
+        basis = nf.chebyshev_basis(x, graph, 4)
+        for k, term in enumerate(basis.terms):
+            assert np.linalg.norm(term) <= np.linalg.norm(x) * (1 + 1e-12), (nelx, nely, k)
 
 
 def test_dimension_mismatch_rejected(rng):
