@@ -3,8 +3,11 @@
 The blueprint field is swept from the base layer upward: an element can keep
 at most the (smoothed) maximum density found in the three elements directly
 below it, so unsupported overhangs are erased from the printed field. The
-surrogates stay differentiable everywhere, which lets the filter sit inside
-the tape, where the whole sweep is one operation with a hand-written VJP.
+smooth sweep, its VJP and the exact rule all read those three supports from
+the row below padded with a zero at each end, so a support outside the domain
+counts as void. The surrogates stay differentiable everywhere, which lets the
+filter sit inside the tape, where the whole sweep is one operation with a
+hand-written VJP.
 """
 
 from __future__ import annotations
@@ -142,11 +145,13 @@ def apply_filter(blueprint, nelx: int, nely: int, params: FilterParams):
 class FilterSweep:
     """One forward sweep of the smooth filter over a (nely, nelx) blueprint.
 
-    Holds the unclamped printed rows ``raw`` and, one row per layer above
-    the base, what the VJP reads: the masked side supports bl and br, the
-    power sum s, the gap d = b - s^(1/Q) and the root r = sqrt(d^2 + epsilon).
-    A power outside its real domain raises NumericDomainError, reported at
-    tape node ``node``.
+    Each layer reads its three supports from one zero-padded row: the printed
+    row below, raised to the power P once, sits between two zeros, and its
+    left, centre and right shifts give every element's supports, with zero
+    outside the domain. Holds the unclamped printed rows ``raw`` and, one row
+    per layer above the base, what the VJP reads: the power sum s, the gap
+    d = b - s^(1/Q) and the root r = sqrt(d^2 + epsilon). A power outside its
+    real domain raises NumericDomainError, reported at tape node ``node``.
     """
 
     def __init__(self, b: np.ndarray, params: FilterParams, node: int | None = None):
@@ -155,42 +160,37 @@ class FilterSweep:
         self.c = 1.0 / params.root_exponent
         eps = params.epsilon
         root_eps = math.sqrt(eps)
-        self.left_idx = np.maximum(np.arange(nelx) - 1, 0)
-        self.right_idx = np.minimum(np.arange(nelx) + 1, nelx - 1)
-        self.left_mask = np.ones(nelx)
-        self.left_mask[0] = 0.0
-        self.right_mask = np.ones(nelx)
-        self.right_mask[-1] = 0.0
         raw = np.empty((nely, nelx))
         raw[0] = b[0]
-        bl, br, s, d, r = (np.empty((nely - 1, nelx)) for _ in range(5))
+        s, d, r = (np.empty((nely - 1, nelx)) for _ in range(3))
+        pw = np.zeros(nelx + 2)
         # a negative base or a zero sum under a negative root exponent fails
         # the domain check below; the rows it spoils are never returned
         with np.errstate(invalid="ignore", divide="ignore"):
             for i in range(1, nely):
                 k = i - 1
-                prev = raw[k]
-                bl[k] = prev[self.left_idx] * self.left_mask
-                br[k] = prev[self.right_idx] * self.right_mask
-                s[k] = bl[k] ** self.p + prev ** self.p + br[k] ** self.p
+                pw[1:-1] = raw[k] ** self.p
+                s[k] = pw[:-2] + pw[1:-1] + pw[2:]
                 e = s[k] ** self.c
                 d[k] = b[i] - e
                 r[k] = np.sqrt(d[k] * d[k] + eps)
                 raw[i] = 0.5 * (b[i] + e - r[k] + root_eps)
         ad.check_power_domain(raw[:-1], self.p, node)
         ad.check_power_domain(s, self.c, node)
-        self.raw, self.bl, self.br, self.s, self.d, self.r = raw, bl, br, s, d, r
+        self.raw, self.s, self.d, self.r = raw, s, d, r
 
     def vjp(self, g: np.ndarray) -> np.ndarray:
-        """Adjoint of the blueprint given the adjoint g of the output."""
+        """Adjoint of the blueprint given the adjoint g of the output.
+
+        Each layer's power-sum adjoint goes into a zero-padded row, and its
+        centre, left and right shifts pass it down to the supports below."""
         nely, nelx = self.raw.shape
         g = np.asarray(g, dtype=float).reshape(nely, nelx)
-        d_bl = ad.power_derivative(self.bl, self.p)
-        d_prev = ad.power_derivative(self.raw[:-1], self.p)
-        d_br = ad.power_derivative(self.br, self.p)
+        d_pw = ad.power_derivative(self.raw[:-1], self.p)
         d_s = ad.power_derivative(self.s, self.c)
         d_r = 0.5 / self.r  # r >= sqrt(epsilon) > 0
         grad = np.zeros((nely, nelx))
+        g_s = np.zeros(nelx + 2)
         g_row = g[-1]
         for i in range(nely - 1, 0, -1):
             k = i - 1
@@ -199,12 +199,8 @@ class FilterSweep:
             g_d = g_sq * self.d[k]
             g_d = g_d + g_d
             grad[i] += g_half + g_d
-            g_s = (g_half - g_d) * d_s[k]
-            left = np.zeros(nelx)
-            np.add.at(left, self.left_idx, g_s * d_bl[k] * self.left_mask)
-            right = np.zeros(nelx)
-            np.add.at(right, self.right_idx, g_s * d_br[k] * self.right_mask)
-            g_row = g[k] + g_s * d_prev[k] + right + left
+            g_s[1:-1] = (g_half - g_d) * d_s[k]
+            g_row = g[k] + g_s[1:-1] * d_pw[k] + g_s[:-2] * d_pw[k] + g_s[2:] * d_pw[k]
         grad[0] += g_row
         return grad.ravel()
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topofield as tf
@@ -238,6 +238,10 @@ def _filter_pass(fn, values, nelx, nely, params, cotangent):
 
 @settings(max_examples=200, deadline=None)
 @given(_filter_instances())
+# one and two columns: both side supports of every element fall on the
+# zero padding, or one of them does
+@example((1, 4, FilterParams(1e-4, 40.0), np.array([0.9, 0.2, 0.7, 0.6]), 1))
+@example((2, 3, FilterParams(1e-3, 7.5), np.array([0.8, 0.3, 0.1, 0.9, 0.6, 0.4]), 2))
 def test_fused_filter_equals_composed_sweep(instance):
     # the one-op filter against the sweep composed from smooth_min/smooth_max
     # node by node: same values and same gradient, bit for bit
