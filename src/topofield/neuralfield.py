@@ -1,23 +1,25 @@
 """Chebyshev spectral graph-convolution field over the element graph.
 
-Each layer computes sum_k T_k(L_scaled) H W_k + bias using the three-term
-Chebyshev recursion on matrix-vector products (dense polynomial matrices are
-never formed). Hidden layers use ReLU; the output head is a sigmoid that
-emits a blueprint density in (0, 1) per element.
+Each layer computes sum_k T_k(L_scaled) H W_k + bias by the three-term
+Chebyshev recursion on matrix products (dense polynomial matrices are never
+formed). Hidden layers use ReLU; the output head is a sigmoid that emits a
+blueprint density in (0, 1) per element. The first layer's terms T_k X are
+constants built once per run (:func:`chebyshev_basis`); every later layer
+projects first, P_k = H W_k, and sums T_k P_k by Clenshaw's recursion, so
+the Laplacian acts on its output width, one column for the head.
 
 :func:`predict_blueprint` records the whole network as one tape operation
-with a hand-written VJP, like the overhang filter's sweep. Each forward pass
-owns its activations and Chebyshev terms; only the VJP's n x width
-temporaries live in buffers of the :class:`ChebyshevBasis` that a run builds
-once, and no VJP reads them past its own return. Values and weight gradients
-equal the network composed on the tape node by node bit for bit.
+with a hand-written VJP. A forward pass keeps only the inputs of the layers
+after the first and the sigmoid output, and no VJP temporary outlives its
+call. Values and weight gradients equal the network composed on the tape
+node by node bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,29 +95,30 @@ def _chebyshev_terms(lap, h: np.ndarray, order: int) -> list:
     return terms
 
 
-class _Buffers:
-    """Scratch arrays by name and shape, which every network VJP on one
-    basis overwrites and none reads past its own return."""
-
-    def __init__(self):
-        self.arrays: dict = {}
-
-    def get(self, name, shape: tuple, dtype=float) -> np.ndarray:
-        key = (name, shape, dtype)
-        arr = self.arrays.get(key)
-        if arr is None:
-            arr = self.arrays[key] = np.empty(shape, dtype)
-        return arr
+def _clenshaw(lap, projections: np.ndarray, count: int) -> np.ndarray:
+    """sum_k T_k(L) P_k over the ``count`` column blocks P_0, ..., P_K of
+    ``projections`` by Clenshaw's recursion: b_K = P_K,
+    b_k = P_k + 2 L b_{k+1} - b_{k+2}, and the sum is b_0 = P_0 + L b_1 - b_2."""
+    blocks = np.hsplit(projections, count)
+    acc, prev = blocks[-1], None
+    for k in range(count - 2, -1, -1):
+        nxt = lap @ acc
+        if k > 0:
+            nxt *= 2.0
+        nxt += blocks[k]
+        if prev is not None:
+            nxt -= prev
+        prev, acc = acc, nxt
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevBasis:
     """The first layer's constant terms [T_0 X, ..., T_K X] for one feature
-    matrix X on one graph, and the scratch every network VJP on it reuses."""
+    matrix X on one graph."""
 
     terms: tuple
     graph: ElementGraph
-    _buffers: _Buffers = field(default_factory=_Buffers, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -127,8 +130,11 @@ def chebyshev_basis(features: np.ndarray, graph: ElementGraph, order: int) -> Ch
 
     The features are constant through a run, so their products with the
     Laplacian are too; :func:`predict_blueprint` accepts the result in place
-    of the features and then computes no adjoint of them.
+    of the features and then computes no adjoint of them. A negative order
+    raises ValueError.
     """
+    if order < 0:
+        raise ValueError(f"Chebyshev order {order} is negative")
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] != graph.laplacian_scaled.shape[0]:
         raise ValueError(
@@ -173,9 +179,9 @@ def predict_blueprint(
 
     The whole network is one tape operation (:class:`NetworkPass`) whose
     values and weight gradients equal the network composed on the tape node
-    by node (each layer's recursion, then the clamp, the sigmoid and a
-    reshape) bit for bit. A layer whose weights do not take the width of its
-    input raises ValueError.
+    by node (each layer's products and recursion, then the clamp, the
+    sigmoid and a reshape) bit for bit. A weight or bias that does not fit
+    its layer, or a head wider than 1, raises ValueError naming the layer.
 
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
@@ -200,88 +206,75 @@ def predict_blueprint(
     return params[0].tape._record(out, tuple(p.nid for p in params), net.vjp)
 
 
+def _check_shapes(features_shape: tuple, weights: list, biases: list) -> None:
+    """Raise ValueError naming the first layer whose weights do not all map
+    its input width to the width of its first weight, or whose bias does not
+    have that width; the head's width must be 1."""
+    n, width = features_shape
+    for index, (layer, bias) in enumerate(zip(weights, biases)):
+        out = layer[0].shape[-1] if layer[0].ndim == 2 else None
+        for k, weight in enumerate(layer):
+            if weight.shape != (width, out):
+                raise ValueError(f"layer {index}: inputs of shape {(n, width)} need weight {k} "
+                                 f"of shape {(width, out)}, not {weight.shape}")
+        if bias.shape != (out,):
+            raise ValueError(f"layer {index}: bias of shape {bias.shape}, not {(out,)}")
+        width = out
+    if width != 1:
+        raise ValueError(f"layer {len(weights) - 1}, the head, has width {width}, not 1")
+
+
 class NetworkPass:
     """One forward pass of the network ``layers``, whose parameters are tape
     values, on ``basis``.
 
-    The pass owns each hidden layer's ReLU output H and its terms
-    T_1 H, ..., T_K H, which its VJP reads; any number of passes on one
-    basis can each run their VJP, in any order and as often as asked. The
-    VJP's n x width temporaries live in the basis's scratch, which no VJP
-    reads past its own return.
+    Every layer after the first projects its input H in one product
+    P = H [W_0 ... W_K] and sums T_k(L) P_k by Clenshaw's recursion. The
+    pass keeps those inputs and the sigmoid output, which its VJP reads; any
+    number of passes on one basis can each run their VJP, in any order and
+    as often as asked.
     """
 
     def __init__(self, basis: ChebyshevBasis, layers: list[ChebLayerParams]):
         self.basis = basis
         self.weights = [[w.value for w in layer.weights] for layer in layers]
-        self.biases = [layer.bias.value for layer in layers]
+        biases = [layer.bias.value for layer in layers]
+        _check_shapes(basis.terms[0].shape, self.weights, biases)
         lap = basis.graph.laplacian_scaled
-        self.terms = [basis.terms]
-        last = len(layers) - 1
-        for index, (weights, bias) in enumerate(zip(self.weights, self.biases)):
-            terms = self.terms[index]
-            if terms[0].shape[1] != weights[0].shape[0]:
-                raise ValueError(
-                    f"feature matrix shape {terms[0].shape} does not match "
-                    f"weight shape {weights[0].shape} of layer {index}"
-                )
-            out = terms[0] @ weights[0]
-            for term, weight in zip(terms[1:], weights[1:]):
-                out = out + term @ weight
-            out = out + bias
-            if index < last:
-                h = np.maximum(out, 0.0)
-                self.terms.append(_chebyshev_terms(lap, h, len(self.weights[index + 1]) - 1))
+        out = basis.terms[0] @ self.weights[0][0]
+        for term, weight in zip(basis.terms[1:], self.weights[0][1:]):
+            out += term @ weight
+        out += biases[0]
+        self.inputs = []
+        for weights, bias in zip(self.weights[1:], biases[1:]):
+            h = np.maximum(out, 0.0, out=out)
+            self.inputs.append(h)
+            out = _clenshaw(lap, h @ np.concatenate(weights, axis=1), len(weights))
+            out += bias
         # the head: a straight-through clamp of the logits, then the sigmoid
         self.value = ad.logistic(np.clip(out, -_LOGIT_BOUND, _LOGIT_BOUND))
 
     def vjp(self, g: np.ndarray) -> list:
         """Adjoints of the parameters, in :func:`parameter_arrays` order,
-        given the adjoint g of the flat blueprint."""
-        # the n x width temporaries come from the basis's scratch: allocated
-        # per call, glibc returned them to the system and faulted them back
-        # each time, about 5,500 minor page faults per iteration against 130
-        # on a 120 x 40 beam, at 59-71 against 56 ms (1 BLAS thread)
-        buffers = self.basis._buffers
+        given the adjoint g of the flat blueprint.
+
+        L is symmetric, so a later layer's P_k has the adjoint T_k(L) G, G
+        that of its pre-activation: dW_k = H^T T_k G, and dH = sum_k T_k G W_k^T
+        is one product of the stacked terms and weights, as on the tape."""
         lap_t = self.basis.graph.laplacian_scaled.T
         val = self.value
         grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
         adjoints = []
-        for index in range(len(self.weights) - 1, -1, -1):
-            terms, weights = self.terms[index], self.weights[index]
-            layer = [term.T @ grad for term in terms]
+        for h, weights in zip(reversed(self.inputs), reversed(self.weights[1:])):
+            stacked = np.concatenate(_chebyshev_terms(lap_t, grad, len(weights) - 1), axis=1)
+            layer = np.hsplit(h.T @ stacked, len(weights))
             layer.append(grad.sum(axis=0))
             adjoints[:0] = layer
-            if index == 0:
-                break
-            h = terms[0]
-            adj = self._input_adjoint(grad, terms, weights, lap_t)
-            mask = np.greater(h, 0.0, out=buffers.get("mask", h.shape, bool))
-            grad = np.multiply(adj, mask, out=buffers.get("grad", h.shape))
-        return adjoints
-
-    def _input_adjoint(self, grad, terms, weights, lap_t) -> np.ndarray:
-        """Adjoint of a layer's input H given the adjoint of its
-        pre-activation, summed in the tape's order: the adjoint of T_j H is
-        -adj(T_{j+2} H), plus L^T adj(T_{j+1} H) (times 2 for j > 0), plus
-        grad W_j^T, each part present only if its term exists."""
-        buffers = self.basis._buffers
-        shape = terms[0].shape
-        order = len(terms) - 1
-        scratch = buffers.get("scratch", shape)
-        adj = [None] * (order + 1)
-        for j in range(order, -1, -1):
-            acc = adj[j] = buffers.get(("adjoint", j % 3), shape)
-            part = np.matmul(grad, weights[j].T, out=acc if j == order else scratch)
-            if j < order:
-                src = adj[j + 1]
-                if j > 0:
-                    src = np.multiply(src, 2.0, out=buffers.get("scaled", shape))
-                lap_part = lap_t @ src
-                if j + 2 <= order:  # L^T a - b is -b + L^T a bit for bit
-                    lap_part -= adj[j + 2]
-                np.add(lap_part, part, out=acc)
-        return adj[0]
+            grad = stacked @ np.concatenate(weights, axis=1).T
+            grad *= h > 0.0  # ReLU's mask: H > 0 exactly where its input was
+        layer = [term.T @ grad for term in self.basis.terms]
+        layer.append(grad.sum(axis=0))
+        return layer + adjoints
 
 
 def save_parameters(path, layers: list[ChebLayerParams]) -> None:

@@ -40,15 +40,27 @@ def reshape(x, shape):
     return x.tape._record(x.value.reshape(shape), (x.nid,), lambda g: (g.reshape(orig),))
 
 
-def concat(parts):
-    """Concatenate 1-D values; backward splits the adjoint."""
-    offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+def concat(parts, axis=0):
+    """Concatenate values along ``axis``; backward splits the adjoint."""
+    offsets = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        return tuple(g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+        return tuple(np.split(g, offsets, axis=axis))
 
-    values = np.concatenate([p.value for p in parts])
+    values = np.concatenate([p.value for p in parts], axis=axis)
     return parts[0].tape._record(values, tuple(p.nid for p in parts), vjp)
+
+
+def columns(x, lo, hi):
+    """Columns lo:hi of a matrix; backward pads the adjoint with zeros."""
+    shape = x.value.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[:, lo:hi] = g
+        return (out,)
+
+    return x.tape._record(x.value[:, lo:hi], (x.nid,), vjp)
 
 
 def composed_filter(blueprint, nelx, nely, params):
@@ -81,22 +93,40 @@ def composed_blueprint(features, graph, layers, tape):
     """The network's blueprint with the feature matrix as a tape leaf and
     every Chebyshev recursion step recorded: the reference for
     :func:`topofield.neuralfield.predict_blueprint`, which keeps the first
-    layer's terms off the tape."""
+    layer's terms off the tape.
+
+    The first layer sums its terms T_k X times W_k. Every later layer
+    projects first, P = H [W_0 ... W_K] in one product, and sums T_k P_k by
+    Clenshaw's recursion b_k = P_k + 2 L b_{k+1} - b_{k+2}, ending at
+    b_0 = P_0 + L b_1 - b_2."""
     from topofield import autodiff as ad
 
     lap = graph.laplacian_scaled
     h = tape.leaf(np.asarray(features, dtype=float))
-    for index, layer in enumerate(layers):
-        out = ad.matmul(h, layer.weights[0])
-        t_prev, t_cur = None, h
-        for k in range(1, len(layer.weights)):
-            if k == 1:
-                t_next = ad.matmul(lap, h)
-            else:
-                t_next = 2.0 * ad.matmul(lap, t_cur) - t_prev
-            out = out + ad.matmul(t_next, layer.weights[k])
-            t_prev, t_cur = t_cur, t_next
-        out = out + layer.bias
-        h = ad.relu(out) if index < len(layers) - 1 else out
-    out = ad.sigmoid(clamp_straight_through(h, -8.0, 8.0))
+    out = ad.matmul(h, layers[0].weights[0])
+    t_prev, t_cur = None, h
+    for k in range(1, len(layers[0].weights)):
+        if k == 1:
+            t_next = ad.matmul(lap, h)
+        else:
+            t_next = 2.0 * ad.matmul(lap, t_cur) - t_prev
+        out = out + ad.matmul(t_next, layers[0].weights[k])
+        t_prev, t_cur = t_cur, t_next
+    out = out + layers[0].bias
+    for layer in layers[1:]:
+        count = len(layer.weights)
+        p = ad.matmul(ad.relu(out), concat(layer.weights, axis=1))
+        width = p.value.shape[1] // count
+        blocks = [columns(p, k * width, (k + 1) * width) for k in range(count)]
+        acc, prev = blocks[-1], None
+        for k in range(count - 2, -1, -1):
+            nxt = ad.matmul(lap, acc)
+            if k > 0:
+                nxt = 2.0 * nxt
+            nxt = blocks[k] + nxt
+            if prev is not None:
+                nxt = nxt - prev
+            prev, acc = acc, nxt
+        out = acc + layer.bias
+    out = ad.sigmoid(clamp_straight_through(out, -8.0, 8.0))
     return reshape(out, (out.value.shape[0],))

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -13,7 +14,7 @@ from topofield import neuralfield as nf
 from topofield.meshgraph import ElementGraph, build_element_graph, build_mesh, fourier_encode, normalize_centroids
 from topofield.oracle import finite_difference_gradient
 
-from conftest import composed_blueprint, rel_err
+from conftest import clamp_straight_through, composed_blueprint, rel_err, reshape
 
 
 def _zero_laplacian_graph(n):
@@ -94,6 +95,66 @@ def test_dimension_mismatch_rejected(rng):
     graph = build_element_graph(build_mesh(2, 2))
     with pytest.raises(ValueError, match=r"\(4, 3\).*\(5, 1\)"):
         _one_layer_blueprint(rng.standard_normal((4, 3)), graph, [rng.standard_normal((5, 1))], np.zeros(1))
+
+
+def _small_network():
+    """A (8, 6, 1) network of order 1 on a 3 x 4 mesh, and its features."""
+    mesh = build_mesh(3, 4)
+    graph = build_element_graph(mesh)
+    feats = fourier_encode(normalize_centroids(mesh), 4, 2.0, 0)
+    return graph, feats, nf.init_parameters(nf.NetworkConfig((8, 6, 1), cheb_order=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda layers: setattr(layers[0], "bias", np.zeros(1)),
+         r"layer 0: bias of shape \(1,\), not \(6,\)"),
+        (lambda layers: layers[0].weights.__setitem__(1, np.zeros((8, 1))),
+         r"layer 0: .* weight 1 of shape \(8, 6\), not \(8, 1\)"),
+        (lambda layers: layers[1].weights.__setitem__(0, np.zeros((5, 1))),
+         r"layer 1: inputs of shape \(12, 6\) need weight 0 of shape \(6, 1\), not \(5, 1\)"),
+        (lambda layers: layers[1].weights.__setitem__(1, np.zeros(6)),
+         r"layer 1: .* weight 1 of shape \(6, 1\), not \(6,\)"),
+        (lambda layers: setattr(layers[1], "weights", [np.zeros((6, 2))] * 2),
+         r"layer 1: bias of shape \(1,\), not \(2,\)"),
+        (lambda layers: setattr(layers[1], "bias", np.zeros(2)) or
+         setattr(layers[1], "weights", [np.zeros((6, 2))] * 2),
+         r"layer 1, the head, has width 2, not 1"),
+    ],
+    ids=["bias", "weight-width", "input-width", "weight-rank", "head-bias", "head-width"],
+)
+def test_misshaped_parameters_rejected(edit, message):
+    # every weight and bias is checked, not only the first weight's input
+    # width: a mis-shaped one would broadcast into a blueprint of the wrong
+    # length, or fail only in the backward pass
+    graph, feats, layers = _small_network()
+    edit(layers)
+    with pytest.raises(ValueError, match=message):
+        nf.predict_blueprint(feats, graph, nf.leaf_parameters(ad.Tape(), layers))
+
+
+def test_misshaped_checkpoint_rejected(tmp_path):
+    graph, feats, layers = _small_network()
+    path = tmp_path / "weights.ckpt"
+    nf.save_parameters(path, layers)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays["layer0.theta1"] = np.zeros((8, 1))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    loaded = nf.load_parameters(path)
+    with pytest.raises(ValueError, match=r"layer 0: .* weight 1 of shape \(8, 6\), not \(8, 1\)"):
+        nf.predict_blueprint(feats, graph, nf.leaf_parameters(ad.Tape(), loaded))
+
+
+def test_negative_order_rejected():
+    graph, feats, layers = _small_network()
+    with pytest.raises(ValueError, match="order -1 is negative"):
+        nf.chebyshev_basis(feats, graph, -1)
+    layers[0].weights = []
+    with pytest.raises(ValueError, match="order -1 is negative"):
+        nf.predict_blueprint(feats, graph, nf.leaf_parameters(ad.Tape(), layers))
 
 
 def test_parameters_must_be_tape_values(rng):
@@ -371,11 +432,8 @@ def _network_pass(route, layers, cotangent):
     return b.value, [grads.of(x) for x in nf.parameter_arrays(leaves)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(_networks())
-def test_one_op_network_equals_composed_reference(instance):
-    # the one-op network against the network composed node by node: same
-    # values and same gradient of every weight, bit for bit
+def _drawn_network(instance):
+    """(mesh, features, layers, cotangent, route) of a :func:`_networks` draw."""
     nelx, nely, widths, order, scale, route_name, seed = instance
     rng = np.random.default_rng(seed)
     mesh = build_mesh(nelx, nely)
@@ -391,6 +449,15 @@ def test_one_op_network_equals_composed_reference(instance):
         route = lambda leaves: nf.predict_blueprint(basis, graph, leaves)  # noqa: E731
     else:
         route = lambda leaves: nf.predict_blueprint(feats, graph, leaves)  # noqa: E731
+    return graph, feats, layers, cotangent, route
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks())
+def test_one_op_network_equals_composed_reference(instance):
+    # the one-op network against the network composed node by node: same
+    # values and same gradient of every weight, bit for bit
+    graph, feats, layers, cotangent, route = _drawn_network(instance)
     value, grads = _network_pass(route, layers, cotangent)
     ref_value, ref_grads = _network_pass(
         lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape),
@@ -399,6 +466,79 @@ def test_one_op_network_equals_composed_reference(instance):
     assert np.array_equal(value, ref_value)
     assert len(grads) == len(ref_grads)
     assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
+def termwise_blueprint(features, graph, layers, tape):
+    """The network in the association sum_k (T_k H) W_k in every layer,
+    composed on the tape: the function of :func:`composed_blueprint`, with
+    each layer's Laplacian products at its input width instead."""
+    lap = graph.laplacian_scaled
+    h = tape.leaf(np.asarray(features, dtype=float))
+    for index, layer in enumerate(layers):
+        terms = [h]
+        for k in range(1, len(layer.weights)):
+            step = ad.matmul(lap, terms[-1])
+            terms.append(step if k == 1 else 2.0 * step - terms[-2])
+        out = ad.matmul(h, layer.weights[0])
+        for term, weight in zip(terms[1:], layer.weights[1:]):
+            out = out + ad.matmul(term, weight)
+        out = out + layer.bias
+        h = ad.relu(out) if index < len(layers) - 1 else out
+    out = ad.sigmoid(clamp_straight_through(h, -8.0, 8.0))
+    return reshape(out, (out.value.shape[0],))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_networks())
+def test_network_equals_termwise_association(instance):
+    # projecting before the recursion, sum_k T_k (H W_k), is the same
+    # function as sum_k (T_k H) W_k: values and weight gradients agree to
+    # rounding. A gradient that cancels to rounding noise (on a 1 x 3 path
+    # of order 3, one read 1e-17 where the whole gradient's norm was 0.12) is
+    # measured against a millionth of the whole gradient's norm instead of
+    # its own.
+    graph, feats, layers, cotangent, route = _drawn_network(instance)
+    value, grads = _network_pass(route, layers, cotangent)
+    ref_value, ref_grads = _network_pass(
+        lambda leaves: termwise_blueprint(feats, graph, leaves, leaves[0].bias.tape),
+        layers, cotangent,
+    )
+    assert rel_err(value, ref_value) < 1e-12
+    assert len(grads) == len(ref_grads)
+    floor = 1e-12 + 1e-6 * np.sqrt(sum(np.sum(g * g) for g in grads))
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert rel_err(g, r, floor=floor) < 1e-10, f"parameter {i}"
+
+
+def test_pass_memory_stays_within_bound():
+    # one forward pass and its VJP at 40 x 20 with the run's widths and
+    # order: the pass keeps the two hidden inputs H, and the VJP's largest
+    # moment holds a layer's adjoint, its stacked Chebyshev terms and their
+    # inputs, about 6.4 arrays of n x 64 in all. The bound of 8 sits below
+    # the 9.4 of a pass that also keeps every T_k H and five n x 64 scratch
+    # arrays in the basis. Afterwards nothing of the pass stays allocated:
+    # the basis holds only its terms.
+    mesh = build_mesh(40, 20)
+    graph = build_element_graph(mesh)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((mesh.n_elems, 128))
+    layers = nf.init_parameters(nf.NetworkConfig((128, 64, 64, 1), cheb_order=1, seed=0))
+    basis = nf.chebyshev_basis(feats, graph, 1)
+    cotangent = rng.standard_normal(mesh.n_elems)
+    array = mesh.n_elems * 64 * 8  # bytes of one n x 64 array
+    tracemalloc.start()
+    try:
+        t = ad.Tape()
+        leaves = nf.leaf_parameters(t, layers)
+        grads = t.backward((nf.predict_blueprint(basis, graph, leaves) * cotangent).sum())
+        _, peak = tracemalloc.get_traced_memory()
+        del t, leaves, grads
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * array, peak / array
+    assert left < 0.1 * array, left / array
+    assert set(vars(basis)) == {"terms", "graph"}
 
 
 def test_passes_on_one_basis_differentiate_in_any_order(rng):
