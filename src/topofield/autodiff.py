@@ -3,9 +3,9 @@
 Every differentiable quantity in the pipeline is a :class:`DiffValue` bound to
 a :class:`Tape`. Operations record their inputs and a vector-Jacobian closure;
 :meth:`Tape.backward` replays the closures in reverse topological order and
-accumulates adjoints additively. The equilibrium solve gets a custom adjoint
-(one extra triangular solve on the same factorization) instead of being traced
-element by element.
+accumulates adjoints additively. The engine knows nothing of the pipeline: a
+composite operation (the network, the overhang filter, the equilibrium solve)
+is recorded by the module that owns it, as one node with a hand-written VJP.
 """
 
 from __future__ import annotations
@@ -317,23 +317,3 @@ def matmul(a, b) -> DiffValue:
 
     return tape._record(val, tuple(inputs), vjp)
 
-
-def linear_solve(assembler, rho: DiffValue, f: np.ndarray) -> DiffValue:
-    """Equilibrium displacements u with K(rho) u = f, differentiable in rho.
-
-    ``assembler`` supplies the stiffness factorization and the density
-    chain rule (see :class:`topofield.fea.SimpAssembler`). Forward: factor the
-    reduced stiffness once and solve for the free DOFs. Backward: reuse the
-    same factorization to solve K lam = u_bar (K symmetric), then accumulate
-    -lam_e^T (dK_e/drho_e) u_e per element, with the SIMP modulus derivative
-    supplying dK_e/drho_e.
-    """
-    rv = rho.value  # the VJP holds no DiffValue, which would tie the tape into a cycle
-    factor = assembler.factorize(rv)
-    u = assembler.solve(factor, np.asarray(f, dtype=float))
-
-    def vjp(g):
-        lam = assembler.solve(factor, g)
-        return (assembler.density_vjp(rv, u, lam),)
-
-    return rho.tape._record(u, (rho.nid,), vjp)

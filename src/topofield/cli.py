@@ -25,7 +25,7 @@ from .amfilter import DensityField, FilterParams
 from .autodiff import SolverFailureError
 from .fea import MaterialModel, StressAggregate
 from .meshgraph import StructuredMesh
-from .neuralfield import save_parameters
+from .neuralfield import NetworkConfig, save_parameters
 from .optimizer import RUN_FAILURES, AdamState, OptimizationResult, run_optimization
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -125,6 +125,7 @@ class BenchmarkCase:
                 raise ValueError(f"{setting.key} must be {setting.rule}, got {value!r}")
         if self.name == "simply_supported" and self.nely < 2:
             raise ValueError("simply_supported needs nely >= 2: its bottom layer is passive")
+        NetworkConfig((2 * self.fourier_m, *self.hidden_widths, 1))  # checks the widths
 
     def build_problem(self, mesh: StructuredMesh):
         """Fixed DOFs, load vector, and passive mask for this case.

@@ -7,8 +7,9 @@ numbered node by node along the grid's short side, which makes the reduced
 stiffness a band of half-width about 2 min(nelx, nely) + 5. The map from
 element-matrix entries to band slots is built once per mesh and support set
 (:class:`BandPattern`); each solve scatters the element stiffnesses into the
-band with one ``bincount`` and factors it by banded Cholesky. The factor also
-serves the adjoint solve in the backward pass.
+band with one ``bincount`` and factors it by banded Cholesky. The solve is
+one tape operation whose VJP solves on the same factor and applies the SIMP
+density chain rule; its :class:`SimpAssembler` is returned for the oracles.
 """
 
 from __future__ import annotations
@@ -93,12 +94,17 @@ class DensityRangeError(ValueError):
     """Densities handed to the SIMP interpolation lie outside [0, 1]."""
 
 
-def simp_modulus(rho: DiffValue, mat: MaterialModel) -> DiffValue:
-    """Differentiable SIMP modulus per element."""
+def check_density_range(rho: np.ndarray) -> None:
+    """Raise :class:`DensityRangeError` unless every density lies in [0, 1]."""
     # min and max are NaN when any density is, and NaN fails both bounds
-    lo, hi = rho.value.min(), rho.value.max()
+    lo, hi = rho.min(), rho.max()
     if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
         raise DensityRangeError(f"densities outside [0,1]: min {lo:.3e}, max {hi:.3e}")
+
+
+def simp_modulus(rho: DiffValue, mat: MaterialModel) -> DiffValue:
+    """Differentiable SIMP modulus per element."""
+    check_density_range(rho.value)
     return ad.power(rho, mat.penal) * (mat.E0 - mat.Emin) + mat.Emin
 
 
@@ -124,7 +130,14 @@ class BandPattern:
     slots: np.ndarray
 
     @classmethod
-    def build(cls, mesh: StructuredMesh, fixed_dofs: np.ndarray) -> BandPattern:
+    def build(cls, mesh: StructuredMesh, fixed_dofs) -> BandPattern:
+        fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+        if fixed_dofs.size and (fixed_dofs[0] < 0 or fixed_dofs[-1] >= mesh.n_dofs):
+            raise ValueError("fixed DOF index out of range")
+        if fixed_dofs.size < 3:
+            raise SolverFailureError(
+                f"under-constrained system: {fixed_dofs.size} fixed DOFs (need >= 3)"
+            )
         nodes = np.arange(mesh.n_nodes).reshape(mesh.nely + 1, mesh.nelx + 1)
         if mesh.nely < mesh.nelx:
             nodes = nodes.T
@@ -148,10 +161,10 @@ class BandPattern:
 _pattern_memo: tuple | None = None
 
 
-def band_pattern(mesh: StructuredMesh, fixed_dofs: np.ndarray) -> BandPattern:
+def band_pattern(mesh: StructuredMesh, fixed_dofs) -> BandPattern:
     """The :class:`BandPattern` of this mesh and support set, built once."""
     global _pattern_memo
-    key, memo = fixed_dofs.tobytes(), _pattern_memo
+    key, memo = np.asarray(fixed_dofs, dtype=np.int64).tobytes(), _pattern_memo
     if memo is None or memo[0] is not mesh or memo[1] != key:
         memo = _pattern_memo = (mesh, key, BandPattern.build(mesh, fixed_dofs))
     return memo[2]
@@ -160,7 +173,8 @@ def band_pattern(mesh: StructuredMesh, fixed_dofs: np.ndarray) -> BandPattern:
 @dataclass(frozen=True)
 class BandCholesky:
     """K = L L^T with L in LAPACK lower band storage ``band[i - j, j]``;
-    ``L`` and ``U`` (= L^T) are this one stored band."""
+    ``L`` and ``U`` (= L^T) are this one stored band, so the bench's
+    ``fea.factor_nnz`` can size it as the two factors of a sparse LU."""
 
     band: np.ndarray
     L = U = property(lambda self: self)
@@ -173,20 +187,16 @@ class BandCholesky:
 
 
 class SimpAssembler:
-    """Assembles the reduced global stiffness in band storage from densities,
-    factors it by banded Cholesky and supplies the density chain rule for
-    the linear-solve adjoint."""
+    """The reduced stiffness K(rho) of one solve: assembles it in band storage,
+    factors it by banded Cholesky and supplies the density chain rule for the
+    solve's adjoint. :func:`assemble_and_solve` sets ``rho`` and ``u`` to the
+    arrays of the solve's DiffValues, not copies."""
 
     def __init__(self, mesh: StructuredMesh, mat: MaterialModel, fixed_dofs):
         self.mesh = mesh
         self.mat = mat
         self.ke0 = element_stiffness_unit(mat.nu, mesh.elem_size)
-        self.fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
-        if self.fixed_dofs.size and (
-            self.fixed_dofs.min() < 0 or self.fixed_dofs.max() >= mesh.n_dofs
-        ):
-            raise ValueError("fixed DOF index out of range")
-        self.pattern = band_pattern(mesh, self.fixed_dofs)
+        self.pattern = band_pattern(mesh, fixed_dofs)
         self.free_dofs = self.pattern.free_dofs
 
     def assemble(self, rho: np.ndarray) -> np.ndarray:
@@ -230,27 +240,12 @@ class SimpAssembler:
         quad = np.einsum("ej,jk,ek->e", le, self.ke0, ue)
         return -self.mat.modulus_derivative(rho) * quad
 
-
-@dataclass
-class StiffnessSystem:
-    """Solve byproducts kept for verification and the analytic oracles.
-
-    ``rho`` and ``u`` are the arrays of the solve's DiffValues, not copies.
-    """
-
-    free_dofs: np.ndarray
-    u: np.ndarray
-    KE0: np.ndarray
-    mesh: StructuredMesh
-    rho: np.ndarray
-    mat: MaterialModel
-
     @property
     def K(self) -> sp.csc_array:
-        """Reduced stiffness over ``free_dofs`` as a sparse matrix, assembled
-        on each access independently of the banded solver route."""
+        """Reduced stiffness over ``free_dofs`` at ``rho`` as a sparse matrix,
+        assembled on each access independently of the banded solver route."""
         dof_map = self.mesh.dof_map
-        vals = np.multiply.outer(self.mat.modulus(self.rho), self.KE0.ravel()).ravel()
+        vals = np.multiply.outer(self.mat.modulus(self.rho), self.ke0.ravel()).ravel()
         rows = np.repeat(dof_map, 8, axis=1).ravel()
         cols = np.tile(dof_map, (1, 8)).ravel()
         n = self.mesh.n_dofs
@@ -264,30 +259,28 @@ def assemble_and_solve(
     mat: MaterialModel,
     fixed_dofs,
     f: np.ndarray,
-) -> tuple[DiffValue, StiffnessSystem]:
-    """Assemble K(rho), solve the equilibrium system, return (u, system).
+) -> tuple[DiffValue, SimpAssembler]:
+    """Assemble K(rho), solve K u = f, return (u, the assembler that solved).
 
     u is a full-length differentiable vector with exact zeros on fixed DOFs.
-    Requires at least 3 constrained DOFs (no rigid-body motion).
+    Densities must lie in [0, 1], and at least 3 DOFs must be constrained
+    (no rigid-body motion). Backward: solve K lam = u_bar on the same factor
+    (K is symmetric), then accumulate -lam_e^T (dK_e/drho_e) u_e per element.
     """
     assembler = SimpAssembler(mesh, mat, fixed_dofs)
-    if assembler.fixed_dofs.size < 3:
-        raise SolverFailureError(
-            f"under-constrained system: {assembler.fixed_dofs.size} fixed DOFs (need >= 3)"
-        )
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.n_dofs,):
         raise ValueError(f"load vector must have shape ({mesh.n_dofs},)")
-    u = ad.linear_solve(assembler, rho, f)
-    system = StiffnessSystem(
-        free_dofs=assembler.free_dofs,
-        u=u.value,
-        KE0=assembler.ke0,
-        mesh=mesh,
-        rho=rho.value,
-        mat=mat,
-    )
-    return u, system
+    rv = rho.value  # the VJP holds no DiffValue, which would tie the tape into a cycle
+    check_density_range(rv)
+    factor = assembler.factorize(rv)
+    u = assembler.solve(factor, f)
+    assembler.rho, assembler.u = rv, u
+
+    def vjp(g):
+        return (assembler.density_vjp(rv, u, assembler.solve(factor, g)),)
+
+    return rho.tape._record(u, (rho.nid,), vjp), assembler
 
 
 def compliance(u: DiffValue, f: np.ndarray) -> DiffValue:

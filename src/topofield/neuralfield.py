@@ -55,8 +55,10 @@ class NetworkConfig:
             raise ValueError("need at least input and output widths")
         if self.layer_widths[-1] != 1:
             raise ValueError("output width must be 1 (scalar density head)")
-        if self.cheb_order < 0:
-            raise ValueError("cheb_order must be >= 0")
+        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.layer_widths):
+            raise ValueError(f"layer widths must be integers >= 1, got {self.layer_widths}")
+        if not (isinstance(self.cheb_order, (int, np.integer)) and self.cheb_order >= 0):
+            raise ValueError(f"cheb_order must be an integer >= 0, got {self.cheb_order!r}")
 
 
 def init_parameters(config: NetworkConfig, volume_target: float = 0.5) -> list[ChebLayerParams]:

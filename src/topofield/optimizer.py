@@ -343,7 +343,7 @@ def run_optimization(case) -> OptimizationResult:
             if passive.any():
                 b = apply_passive(b, passive)
             rho = apply_filter(b, case.nelx, case.nely, schedule.filter) if case.filter_on else b
-            u, _system = assemble_and_solve(rho, mesh, mat, fixed_dofs, f)
+            u, _ = assemble_and_solve(rho, mesh, mat, fixed_dofs, f)
             c = compliance(u, f)
             if it == 1:
                 spec.compliance_scale = max(float(c.value), 1e-30)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .amfilter import FilterParams, FilterSweep
-from .fea import StiffnessSystem, StressAggregate, StressField, constitutive_unit, strain_displacement
+from .fea import SimpAssembler, StressAggregate, StressField, constitutive_unit, strain_displacement
 
 
 def filter_adjoint_state(
@@ -72,15 +72,15 @@ def filter_adjoint_gradient(
     return grad
 
 
-def compliance_density_gradient(system: StiffnessSystem) -> np.ndarray:
-    """dC/drho_e = -dE/drho_e * u_e^T KE0 u_e (self-adjoint load case)."""
+def compliance_density_gradient(system: SimpAssembler) -> np.ndarray:
+    """dC/drho_e = -dE/drho_e * u_e^T ke0 u_e (self-adjoint load case)."""
     ue = system.u[system.mesh.dof_map]
-    quad = np.einsum("ej,jk,ek->e", ue, system.KE0, ue)
+    quad = np.einsum("ej,jk,ek->e", ue, system.ke0, ue)
     return -system.mat.modulus_derivative(system.rho) * quad
 
 
 def stress_adjoint_gradient(
-    system: StiffnessSystem, stress: StressField, agg: StressAggregate, mat
+    system: SimpAssembler, stress: StressField, agg: StressAggregate, mat
 ) -> np.ndarray:
     """d(sigma_PN)/d(rho) via the adjoint equation of the aggregated stress.
 
@@ -128,7 +128,7 @@ def stress_adjoint_gradient(
     de = mat.modulus_derivative(rho)
     ue = u[dof_map]
     le = lam[dof_map]
-    term_state = de * np.einsum("ej,jk,ek->e", le, system.KE0, ue)
+    term_state = de * np.einsum("ej,jk,ek->e", le, system.ke0, ue)
     term_direct = np.where(active, coeff * vm0 / (2.0 * np.sqrt(e_mod)) * de, 0.0)
     return term_state + term_direct
 

@@ -260,65 +260,6 @@ def test_fractional_power_zero_gradient_defined():
     assert np.isclose(g[1], 0.25)
 
 
-def test_linear_solve_single_element_matches_dense():
-    # one element, left edge fixed, unit downward load at bottom-right corner
-    mesh = tf.build_mesh(1, 1)
-    mat = tf.MaterialModel()
-    fixed = np.array([0, 1, 4, 5])  # left-hand corner nodes (global DOFs)
-    f = np.zeros(8)
-    f[3] = -1.0
-    t = ad.Tape()
-    rho = t.leaf(np.array([1.0]))
-    u, _system = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
-
-    ke = tf.fea.element_stiffness_unit(mat.nu) * mat.modulus(np.array([1.0]))[0]
-    kg = np.zeros((8, 8))
-    dofs = mesh.dof_map[0]
-    kg[np.ix_(dofs, dofs)] += ke
-    free = np.setdiff1d(np.arange(8), fixed)
-    dense = np.zeros(8)
-    dense[free] = np.linalg.solve(kg[np.ix_(free, free)], f[free])
-    assert np.allclose(u.value, dense, atol=1e-12)
-    assert np.all(u.value[fixed] == 0.0)
-
-
-def test_linear_solve_scales_inversely_with_stiffness():
-    mesh, fixed, f = cantilever_problem(2, 1)
-    t = ad.Tape()
-    rho = t.leaf(np.full(2, 1.0))
-    mat1 = tf.MaterialModel(E0=1.0)
-    mat2 = tf.MaterialModel(E0=2.0)
-    u1, _ = tf.assemble_and_solve(rho, mesh, mat1, fixed, f)
-    u2, _ = tf.assemble_and_solve(rho, mesh, mat2, fixed, f)
-    assert np.allclose(u1.value, 2.0 * u2.value, rtol=1e-12)
-
-
-def test_linear_solve_compliance_gradient_fd():
-    mesh, fixed, f = cantilever_problem(4, 3)
-    mat = tf.MaterialModel()
-    rho0 = np.random.default_rng(8).uniform(0.3, 0.9, mesh.n_elems)
-
-    def comp(r):
-        t = ad.Tape()
-        u, _ = tf.assemble_and_solve(t.leaf(r), mesh, mat, fixed, f)
-        return float(tf.compliance(u, f).value)
-
-    t = ad.Tape()
-    rho = t.leaf(rho0)
-    u, _ = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
-    g = t.backward(tf.compliance(u, f)).of(rho)
-    fd = finite_difference_gradient(comp, rho0.copy(), 1e-6)
-    assert rel_err(g, fd, floor=1e-8) < 1e-6
-
-
-def test_linear_solve_singular_system_raises():
-    mesh, _fixed, f = cantilever_problem(2, 2)
-    t = ad.Tape()
-    rho = t.leaf(np.full(4, 0.5))
-    with pytest.raises(ad.SolverFailureError):
-        tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), np.array([0, 1]), f)
-
-
 def test_composite_loss_gradient_fd_small():
     # full pipeline on a 2x2 problem: blueprint -> filter -> solve -> loss
     mesh, fixed, f = cantilever_problem(2, 2)

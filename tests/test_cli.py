@@ -464,7 +464,8 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, caps
     "overrides",
     [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
      dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0),
-     dict(alpha_max=float("nan")), dict(load_scale=float("inf")), dict(nely=1)],
+     dict(alpha_max=float("nan")), dict(load_scale=float("inf")), dict(nely=1),
+     dict(hidden_widths=(-1,)), dict(hidden_widths=(2.5,)), dict(hidden_widths=(0,))],
 )
 def test_benchmark_case_rejects_out_of_range_values(overrides):
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """The package runs on the public numpy and scipy APIs alone, so the version
 bounds in pyproject.toml are its whole dependency contract: a private module
 or name (one whose dotted path has a part starting with an underscore) can
-change or vanish in any release."""
+change or vanish in any release.
+
+Inside the package, the differentiation engine stays generic (``autodiff``
+imports no other module of it) and the gradient oracles stay independent (no
+program module but ``__init__`` imports ``oracle``)."""
 
 import ast
 from pathlib import Path
@@ -61,3 +65,33 @@ def test_checker_catches_private_imports_and_attributes():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sources_use_public_numpy_and_scipy_only(path):
     assert private_uses(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the ``topofield`` package that ``source``, a module inside
+    it, imports; the package root counts as ``__init__``."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["topofield" if node.level else "", node.module]))
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    parts = [name.split(".") for name in dotted]
+    return {p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "topofield"}
+
+
+def test_package_import_checker():
+    assert package_imports("from . import autodiff as ad\nfrom .fea import x") == {"autodiff", "fea"}
+    assert package_imports("import topofield.oracle\nfrom topofield import cli") == {"oracle", "cli"}
+    assert package_imports("import topofield\nimport numpy as np") == {"__init__"}
+    assert package_imports("from __future__ import annotations\nimport math") == set()
+
+
+def test_autodiff_imports_no_package_module():
+    assert package_imports((SOURCES[0].parent / "autodiff.py").read_text()) == set()
+
+
+def test_only_the_package_root_imports_the_oracles():
+    importers = {p.name for p in SOURCES if "oracle" in package_imports(p.read_text())}
+    assert importers == {"__init__.py"}

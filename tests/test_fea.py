@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -238,6 +239,114 @@ def test_under_constrained_raises():
     left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
     with pytest.raises(ad.SolverFailureError):
         tf.assemble_and_solve(t.leaf(np.ones(8)), mesh, tf.MaterialModel(), 2 * left, f)
+
+
+def test_linear_solve_single_element_matches_dense():
+    # one element, left edge fixed, unit downward load at bottom-right corner
+    mesh = tf.build_mesh(1, 1)
+    mat = tf.MaterialModel()
+    fixed = np.array([0, 1, 4, 5])  # left-hand corner nodes (global DOFs)
+    f = np.zeros(8)
+    f[3] = -1.0
+    t = ad.Tape()
+    rho = t.leaf(np.array([1.0]))
+    u, _system = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
+
+    ke = tf.fea.element_stiffness_unit(mat.nu) * mat.modulus(np.array([1.0]))[0]
+    kg = np.zeros((8, 8))
+    dofs = mesh.dof_map[0]
+    kg[np.ix_(dofs, dofs)] += ke
+    free = np.setdiff1d(np.arange(8), fixed)
+    dense = np.zeros(8)
+    dense[free] = np.linalg.solve(kg[np.ix_(free, free)], f[free])
+    assert np.allclose(u.value, dense, atol=1e-12)
+    assert np.all(u.value[fixed] == 0.0)
+
+
+def test_linear_solve_scales_inversely_with_stiffness():
+    mesh, fixed, f = cantilever_problem(2, 1)
+    t = ad.Tape()
+    rho = t.leaf(np.full(2, 1.0))
+    mat1 = tf.MaterialModel(E0=1.0)
+    mat2 = tf.MaterialModel(E0=2.0)
+    u1, _ = tf.assemble_and_solve(rho, mesh, mat1, fixed, f)
+    u2, _ = tf.assemble_and_solve(rho, mesh, mat2, fixed, f)
+    assert np.allclose(u1.value, 2.0 * u2.value, rtol=1e-12)
+
+
+def test_linear_solve_compliance_gradient_fd():
+    mesh, fixed, f = cantilever_problem(4, 3)
+    mat = tf.MaterialModel()
+    rho0 = np.random.default_rng(8).uniform(0.3, 0.9, mesh.n_elems)
+
+    def comp(r):
+        t = ad.Tape()
+        u, _ = tf.assemble_and_solve(t.leaf(r), mesh, mat, fixed, f)
+        return float(tf.compliance(u, f).value)
+
+    t = ad.Tape()
+    rho = t.leaf(rho0)
+    u, _ = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
+    g = t.backward(tf.compliance(u, f)).of(rho)
+    fd = finite_difference_gradient(comp, rho0.copy(), 1e-6)
+    assert rel_err(g, fd, floor=1e-8) < 1e-6
+
+
+def test_linear_solve_singular_system_raises():
+    mesh, _fixed, f = cantilever_problem(2, 2)
+    t = ad.Tape()
+    rho = t.leaf(np.full(4, 0.5))
+    with pytest.raises(ad.SolverFailureError):
+        tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), np.array([0, 1]), f)
+
+
+def test_solve_returns_the_assembler_that_solved():
+    mesh, fixed, f = cantilever_problem(3, 2)
+    t = ad.Tape()
+    rho = t.leaf(np.full(mesh.n_elems, 0.7))
+    u, assembler = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+    assert isinstance(assembler, fea.SimpAssembler)
+    assert assembler.u is u.value
+    assert assembler.rho is rho.value
+    assert np.array_equal(assembler.free_dofs, np.setdiff1d(np.arange(mesh.n_dofs), fixed))
+
+
+@pytest.mark.parametrize("density", [np.nan, 1.5, -0.5])
+def test_solve_rejects_densities_outside_unit_interval(density):
+    mesh, fixed, f = cantilever_problem(3, 2)
+    t = ad.Tape()
+    rho = t.leaf(np.full(mesh.n_elems, density))
+    with pytest.raises(fea.DensityRangeError, match="outside"):
+        tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+
+
+def test_support_set_is_checked_with_its_band_pattern():
+    mesh, fixed, _f = cantilever_problem(3, 2)
+    assert fea.band_pattern(mesh, fixed) is fea.band_pattern(mesh, list(fixed))
+    with pytest.raises(ValueError, match="fixed DOF index out of range"):
+        fea.band_pattern(mesh, np.append(fixed, mesh.n_dofs))
+    with pytest.raises(ValueError, match="fixed DOF index out of range"):
+        fea.band_pattern(mesh, np.append(fixed, -1))
+    # duplicates count once
+    with pytest.raises(ad.SolverFailureError, match="2 fixed DOFs"):
+        fea.band_pattern(mesh, [0, 1, 1, 0])
+
+
+def test_solve_leaves_no_reference_cycle():
+    # the solve's VJP holds arrays, not tape values, so a dropped tape is
+    # freed by reference counting alone
+    mesh, fixed, f = cantilever_problem(3, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        t = ad.Tape()
+        rho = t.leaf(np.full(mesh.n_elems, 0.5))
+        u, assembler = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+        t.backward(tf.compliance(u, f))
+        del t, rho, u, assembler
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _uniform_strain_stress(mesh, mat, exx, eyy, gxy, rho_val):

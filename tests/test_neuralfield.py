@@ -352,6 +352,11 @@ def test_network_config_validation():
         nf.NetworkConfig((4, 2))
     with pytest.raises(ValueError):
         nf.NetworkConfig((4, 4, 1), cheb_order=-1)
+    for width in (0, -2, 2.5, 3.0):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            nf.NetworkConfig((4, width, 1))
+    with pytest.raises(ValueError, match="integer >= 0"):
+        nf.NetworkConfig((4, 4, 1), cheb_order=1.5)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
