@@ -342,7 +342,11 @@ class StressAggregate:
             raise ValueError("excluded elements must be non-negative indices")
 
     def covered(self, n_elems: int) -> np.ndarray:
-        """Indices of the elements the aggregate runs over."""
+        """Indices of the elements the aggregate runs over; an excluded index
+        past the last of ``n_elems`` elements raises ValueError."""
+        beyond = [e for e in self.excluded if e >= n_elems]
+        if beyond:
+            raise ValueError(f"excluded element {beyond[0]} is past the {n_elems} elements")
         keep = np.ones(n_elems, dtype=bool)
         keep[np.asarray(self.excluded, dtype=np.int64)] = False
         if not keep.any():

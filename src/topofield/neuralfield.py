@@ -1,18 +1,17 @@
 """Chebyshev spectral graph-convolution field over the element graph.
 
-Each layer computes sum_k T_k(L_scaled) H W_k + bias by the three-term
-Chebyshev recursion on matrix products (dense polynomial matrices are never
-formed). Hidden layers use ReLU; the output head is a sigmoid that emits a
-blueprint density in (0, 1) per element. The first layer's terms T_k X are
-constants built once per run (:func:`chebyshev_basis`); every later layer
-projects first, P_k = H W_k, and sums T_k P_k by Clenshaw's recursion, so
-the Laplacian acts on its output width, one column for the head.
+Each layer computes sum_k T_k(L_scaled) H W_k + bias without forming a
+polynomial matrix: it projects first, P_k = H W_k in one product, and sums
+T_k P_k by Clenshaw's recursion, so the Laplacian acts on the layer's output
+width, one column for the head. H is the feature matrix in the first layer
+and the previous layer's ReLU after it; the output head is a sigmoid that
+emits a blueprint density in (0, 1) per element.
 
 :func:`predict_blueprint` records the whole network as one tape operation
-with a hand-written VJP. A forward pass keeps only the inputs of the layers
-after the first and the sigmoid output, and no VJP temporary outlives its
-call. Values and weight gradients equal the network composed on the tape
-node by node bit for bit.
+with a hand-written VJP. A forward pass keeps only each layer's input and
+the sigmoid output, and no VJP temporary outlives its call. Values and
+weight gradients equal the network composed on the tape node by node bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class ChebLayerParams:
 
     weights: list
     bias: object
-
-    @property
-    def order(self) -> int:
-        return len(self.weights) - 1
 
 
 @dataclass(frozen=True)
@@ -114,38 +109,6 @@ def _clenshaw(lap, projections: np.ndarray, count: int) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class ChebyshevBasis:
-    """The first layer's constant terms [T_0 X, ..., T_K X] for one feature
-    matrix X on one graph."""
-
-    terms: tuple
-    graph: ElementGraph
-
-    @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-
-def chebyshev_basis(features: np.ndarray, graph: ElementGraph, order: int) -> ChebyshevBasis:
-    """Build the first layer's Chebyshev terms once, off the tape.
-
-    The features are constant through a run, so their products with the
-    Laplacian are too; :func:`predict_blueprint` accepts the result in place
-    of the features and then computes no adjoint of them. A negative order
-    raises ValueError.
-    """
-    if order < 0:
-        raise ValueError(f"Chebyshev order {order} is negative")
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[0] != graph.laplacian_scaled.shape[0]:
-        raise ValueError(
-            f"feature matrix shape {x.shape} does not match a graph of "
-            f"{graph.laplacian_scaled.shape[0]} elements"
-        )
-    return ChebyshevBasis(tuple(_chebyshev_terms(graph.laplacian_scaled, x, order)), graph)
-
-
 def leaf_parameters(tape: Tape, layers: list[ChebLayerParams]) -> list[ChebLayerParams]:
     """Re-register numpy parameters as tape leaves for one forward/backward pass."""
     return [
@@ -167,53 +130,51 @@ _LOGIT_BOUND = 8.0
 
 
 def predict_blueprint(
-    features: ChebyshevBasis | np.ndarray,
+    features: np.ndarray,
     graph: ElementGraph,
     layers: list[ChebLayerParams],
 ) -> DiffValue:
     """Blueprint densities in (0, 1): stacked spectral layers, ReLU hidden,
     sigmoid head.
 
-    features is the raw feature matrix or its :func:`chebyshev_basis` on
-    ``graph``, which a loop builds once instead of once per call. Either way
-    the first layer's terms are constants. The parameters must be tape values
-    (see :func:`leaf_parameters`); any other parameter raises TypeError.
+    features is the feature matrix, one row per element of ``graph``; it is
+    a constant, so no adjoint of it is computed. The parameters must be tape
+    values (see :func:`leaf_parameters`); any other parameter raises
+    TypeError.
 
     The whole network is one tape operation (:class:`NetworkPass`) whose
     values and weight gradients equal the network composed on the tape node
     by node (each layer's products and recursion, then the clamp, the
-    sigmoid and a reshape) bit for bit. A weight or bias that does not fit
-    its layer, or a head wider than 1, raises ValueError naming the layer.
+    sigmoid and a reshape) bit for bit. Features whose rows do not match the
+    graph's elements raise ValueError; so does, naming the layer, a layer
+    with no weights, a weight or bias that does not fit its layer, or a head
+    wider than 1.
 
     The head logits are bounded to +-8 with a straight-through clamp: the
     field can still go effectively solid/void (sigmoid(8) = 0.99966) but the
     head never saturates beyond recovery during training.
     """
-    first = layers[0]
-    if isinstance(features, ChebyshevBasis):
-        basis = features
-        if basis.graph is not graph:
-            raise ValueError("the Chebyshev basis was built on another graph")
-        if basis.order != first.order:
-            raise ValueError(
-                f"basis of order {basis.order} for a layer of order {first.order}"
-            )
-    else:
-        basis = chebyshev_basis(features, graph, first.order)
     params = parameter_arrays(layers)
     if not all(isinstance(p, DiffValue) for p in params):
         raise TypeError("the network's parameters must be tape values (see leaf_parameters)")
-    net = NetworkPass(basis, layers)
+    net = NetworkPass(features, graph, layers)
     out = net.value.reshape(net.value.shape[0])
     return params[0].tape._record(out, tuple(p.nid for p in params), net.vjp)
 
 
-def _check_shapes(features_shape: tuple, weights: list, biases: list) -> None:
-    """Raise ValueError naming the first layer whose weights do not all map
-    its input width to the width of its first weight, or whose bias does not
-    have that width; the head's width must be 1."""
+def _check_shapes(features_shape: tuple, n_elems: int, weights: list, biases: list) -> None:
+    """Raise ValueError unless the features are a matrix with one row per
+    element, or naming the first layer that has no weights, whose weights do
+    not all map its input width to the width of its first weight, or whose
+    bias does not have that width; the head's width must be 1."""
+    if len(features_shape) != 2 or features_shape[0] != n_elems:
+        raise ValueError(
+            f"feature matrix shape {features_shape} does not match a graph of {n_elems} elements"
+        )
     n, width = features_shape
     for index, (layer, bias) in enumerate(zip(weights, biases)):
+        if not layer:
+            raise ValueError(f"layer {index} has no weights")
         out = layer[0].shape[-1] if layer[0].ndim == 2 else None
         for k, weight in enumerate(layer):
             if weight.shape != (width, out):
@@ -228,30 +189,26 @@ def _check_shapes(features_shape: tuple, weights: list, biases: list) -> None:
 
 class NetworkPass:
     """One forward pass of the network ``layers``, whose parameters are tape
-    values, on ``basis``.
+    values, on the ``features`` of ``graph``'s elements.
 
-    Every layer after the first projects its input H in one product
-    P = H [W_0 ... W_K] and sums T_k(L) P_k by Clenshaw's recursion. The
-    pass keeps those inputs and the sigmoid output, which its VJP reads; any
-    number of passes on one basis can each run their VJP, in any order and
-    as often as asked.
+    Every layer projects its input H in one product P = H [W_0 ... W_K] and
+    sums T_k(L) P_k by Clenshaw's recursion. The pass keeps those inputs and
+    the sigmoid output, which its VJP reads; any number of passes can each
+    run their VJP, in any order and as often as asked.
     """
 
-    def __init__(self, basis: ChebyshevBasis, layers: list[ChebLayerParams]):
-        self.basis = basis
+    def __init__(self, features: np.ndarray, graph: ElementGraph, layers: list[ChebLayerParams]):
+        self.lap = graph.laplacian_scaled
         self.weights = [[w.value for w in layer.weights] for layer in layers]
         biases = [layer.bias.value for layer in layers]
-        _check_shapes(basis.terms[0].shape, self.weights, biases)
-        lap = basis.graph.laplacian_scaled
-        out = basis.terms[0] @ self.weights[0][0]
-        for term, weight in zip(basis.terms[1:], self.weights[0][1:]):
-            out += term @ weight
-        out += biases[0]
+        h = np.asarray(features, dtype=float)
+        _check_shapes(h.shape, self.lap.shape[0], self.weights, biases)
         self.inputs = []
-        for weights, bias in zip(self.weights[1:], biases[1:]):
-            h = np.maximum(out, 0.0, out=out)
+        for index, (weights, bias) in enumerate(zip(self.weights, biases)):
+            if index:
+                h = np.maximum(out, 0.0, out=out)
             self.inputs.append(h)
-            out = _clenshaw(lap, h @ np.concatenate(weights, axis=1), len(weights))
+            out = _clenshaw(self.lap, h @ np.concatenate(weights, axis=1), len(weights))
             out += bias
         # the head: a straight-through clamp of the logits, then the sigmoid
         self.value = ad.logistic(np.clip(out, -_LOGIT_BOUND, _LOGIT_BOUND))
@@ -260,23 +217,25 @@ class NetworkPass:
         """Adjoints of the parameters, in :func:`parameter_arrays` order,
         given the adjoint g of the flat blueprint.
 
-        L is symmetric, so a later layer's P_k has the adjoint T_k(L) G, G
-        that of its pre-activation: dW_k = H^T T_k G, and dH = sum_k T_k G W_k^T
-        is one product of the stacked terms and weights, as on the tape."""
-        lap_t = self.basis.graph.laplacian_scaled.T
+        L is symmetric, so a layer's P_k has the adjoint T_k(L) G, G that of
+        its pre-activation: dW_k = H^T T_k G, and dH = sum_k T_k G W_k^T is
+        one product of the stacked terms and weights, as on the tape. The
+        first layer's H is the features, whose adjoint is not formed."""
+        lap_t = self.lap.T
         val = self.value
         grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
         adjoints = []
-        for h, weights in zip(reversed(self.inputs), reversed(self.weights[1:])):
+        for index in reversed(range(len(self.weights))):
+            h, weights = self.inputs[index], self.weights[index]
             stacked = np.concatenate(_chebyshev_terms(lap_t, grad, len(weights) - 1), axis=1)
             layer = np.hsplit(h.T @ stacked, len(weights))
             layer.append(grad.sum(axis=0))
             adjoints[:0] = layer
-            grad = stacked @ np.concatenate(weights, axis=1).T
-            grad *= h > 0.0  # ReLU's mask: H > 0 exactly where its input was
-        layer = [term.T @ grad for term in self.basis.terms]
-        layer.append(grad.sum(axis=0))
-        return layer + adjoints
+            if index:
+                grad = stacked @ np.concatenate(weights, axis=1).T
+                del stacked  # freed before the next layer stacks its own terms
+                grad *= h > 0.0  # ReLU's mask: H > 0 exactly where its input was
+        return adjoints
 
 
 def save_parameters(path, layers: list[ChebLayerParams]) -> None:
@@ -292,7 +251,8 @@ def save_parameters(path, layers: list[ChebLayerParams]) -> None:
 
 def load_parameters(path) -> list[ChebLayerParams]:
     """Load a checkpoint written by :func:`save_parameters`; any file that
-    is not such an archive raises ValueError."""
+    is not such an archive, or holds an array no layer reads, raises
+    ValueError."""
     with open(path, "rb") as fh:
         try:
             archive = np.load(fh, allow_pickle=False)
@@ -311,10 +271,12 @@ def load_parameters(path) -> list[ChebLayerParams]:
         weights = []
         k = 0
         while f"layer{i}.theta{k}" in arrays:
-            weights.append(arrays[f"layer{i}.theta{k}"])
+            weights.append(arrays.pop(f"layer{i}.theta{k}"))
             k += 1
-        layers.append(ChebLayerParams(weights, arrays[f"layer{i}.bias"]))
+        layers.append(ChebLayerParams(weights, arrays.pop(f"layer{i}.bias")))
         i += 1
     if not layers:
         raise ValueError(f"{path}: checkpoint holds no layers")
+    if arrays:
+        raise ValueError(f"{path}: unread checkpoint arrays {', '.join(sorted(arrays))}")
     return layers

@@ -1,11 +1,10 @@
 """Composite loss, Adam updates, and the end-to-end optimization loop.
 
-The Fourier features and the first layer's Chebyshev basis are built once per
-run; each iteration re-records the rest of the pipeline on the tape: predict
-blueprint -> overhang filter -> assemble/solve -> compliance and stress ->
-loss -> backward -> Adam. The stress weight ramps up once the continuation
-ends, and the returned design is the best feasible iterate, not simply the
-last.
+The Fourier features are built once per run; each iteration re-records the
+rest of the pipeline on the tape: predict blueprint -> overhang filter ->
+assemble/solve -> compliance and stress -> loss -> backward -> Adam. The
+stress weight ramps up once the continuation ends, and the returned design
+is the best feasible iterate, not simply the last.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .fea import (
 from .meshgraph import build_element_graph, build_mesh, fourier_encode, normalize_centroids
 from .neuralfield import (
     NetworkConfig,
-    chebyshev_basis,
     init_parameters,
     leaf_parameters,
     parameter_arrays,
@@ -311,7 +309,6 @@ def run_optimization(case) -> OptimizationResult:
     )
     config = NetworkConfig((2 * case.fourier_m, *case.hidden_widths, 1), CHEB_ORDER, case.seed)
     layers = init_parameters(config, volume_target=case.volume_fraction)
-    basis = chebyshev_basis(features, graph, CHEB_ORDER)
     arrays = parameter_arrays(layers)
     adam = AdamState.for_parameters(arrays)
 
@@ -339,7 +336,7 @@ def run_optimization(case) -> OptimizationResult:
         tape.reset()
         leaves = leaf_parameters(tape, layers)
         try:
-            b = predict_blueprint(basis, graph, leaves)
+            b = predict_blueprint(features, graph, leaves)
             if passive.any():
                 b = apply_passive(b, passive)
             rho = apply_filter(b, case.nelx, case.nely, schedule.filter) if case.filter_on else b

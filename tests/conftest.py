@@ -92,30 +92,22 @@ def composed_filter(blueprint, nelx, nely, params):
 def composed_blueprint(features, graph, layers, tape):
     """The network's blueprint with the feature matrix as a tape leaf and
     every Chebyshev recursion step recorded: the reference for
-    :func:`topofield.neuralfield.predict_blueprint`, which keeps the first
-    layer's terms off the tape.
+    :func:`topofield.neuralfield.predict_blueprint`, which records the whole
+    network as one tape node.
 
-    The first layer sums its terms T_k X times W_k. Every later layer
-    projects first, P = H [W_0 ... W_K] in one product, and sums T_k P_k by
-    Clenshaw's recursion b_k = P_k + 2 L b_{k+1} - b_{k+2}, ending at
-    b_0 = P_0 + L b_1 - b_2."""
+    Every layer projects first, P = H [W_0 ... W_K] in one product, and sums
+    T_k P_k by Clenshaw's recursion b_k = P_k + 2 L b_{k+1} - b_{k+2}, ending
+    at b_0 = P_0 + L b_1 - b_2. H is the features in the first layer and the
+    previous layer's ReLU after it."""
     from topofield import autodiff as ad
 
     lap = graph.laplacian_scaled
     h = tape.leaf(np.asarray(features, dtype=float))
-    out = ad.matmul(h, layers[0].weights[0])
-    t_prev, t_cur = None, h
-    for k in range(1, len(layers[0].weights)):
-        if k == 1:
-            t_next = ad.matmul(lap, h)
-        else:
-            t_next = 2.0 * ad.matmul(lap, t_cur) - t_prev
-        out = out + ad.matmul(t_next, layers[0].weights[k])
-        t_prev, t_cur = t_cur, t_next
-    out = out + layers[0].bias
-    for layer in layers[1:]:
+    for index, layer in enumerate(layers):
+        if index:
+            h = ad.relu(out)
         count = len(layer.weights)
-        p = ad.matmul(ad.relu(out), concat(layer.weights, axis=1))
+        p = ad.matmul(h, concat(layer.weights, axis=1))
         width = p.value.shape[1] // count
         blocks = [columns(p, k * width, (k + 1) * width) for k in range(count)]
         acc, prev = blocks[-1], None

@@ -543,6 +543,9 @@ def test_aggregate_excluded_validation():
         tf.StressAggregate(1.0, 8.0, excluded=(-1,))
     with pytest.raises(ValueError):
         tf.StressAggregate(1.0, 8.0, excluded=(0, 1)).covered(2)
+    # an index past the mesh, as on a 3 x 4 mesh's 12 elements
+    with pytest.raises(ValueError, match="excluded element 999 is past the 12 elements"):
+        tf.StressAggregate(1.0, 8.0, excluded=(3, 999)).covered(12)
     assert list(tf.StressAggregate(1.0, 8.0, excluded=(1,)).covered(4)) == [0, 2, 3]
 
 

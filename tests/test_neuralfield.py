@@ -86,8 +86,7 @@ def test_chebyshev_terms_do_not_grow(rng):
     for nelx, nely in [(5, 1), (1, 4), (17, 22), (11, 43), (60, 20)]:
         graph = build_element_graph(build_mesh(nelx, nely))
         x = rng.standard_normal((nelx * nely, 3))
-        basis = nf.chebyshev_basis(x, graph, 4)
-        for k, term in enumerate(basis.terms):
+        for k, term in enumerate(nf._chebyshev_terms(graph.laplacian_scaled, x, 4)):
             assert np.linalg.norm(term) <= np.linalg.norm(x) * (1 + 1e-12), (nelx, nely, k)
 
 
@@ -121,8 +120,10 @@ def _small_network():
         (lambda layers: setattr(layers[1], "bias", np.zeros(2)) or
          setattr(layers[1], "weights", [np.zeros((6, 2))] * 2),
          r"layer 1, the head, has width 2, not 1"),
+        (lambda layers: setattr(layers[1], "weights", []), r"layer 1 has no weights"),
     ],
-    ids=["bias", "weight-width", "input-width", "weight-rank", "head-bias", "head-width"],
+    ids=["bias", "weight-width", "input-width", "weight-rank", "head-bias", "head-width",
+         "no-weights"],
 )
 def test_misshaped_parameters_rejected(edit, message):
     # every weight and bias is checked, not only the first weight's input
@@ -148,13 +149,17 @@ def test_misshaped_checkpoint_rejected(tmp_path):
         nf.predict_blueprint(feats, graph, nf.leaf_parameters(ad.Tape(), loaded))
 
 
-def test_negative_order_rejected():
-    graph, feats, layers = _small_network()
-    with pytest.raises(ValueError, match="order -1 is negative"):
-        nf.chebyshev_basis(feats, graph, -1)
-    layers[0].weights = []
-    with pytest.raises(ValueError, match="order -1 is negative"):
-        nf.predict_blueprint(feats, graph, nf.leaf_parameters(ad.Tape(), layers))
+def test_checkpoint_with_unread_arrays_rejected(tmp_path):
+    # a gap in the theta<k> or layer<i> numbering would end the reading early
+    # and drop every array after it without a word
+    path = tmp_path / "weights.ckpt"
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: np.zeros((1, 1)) for name in
+                        ("layer0.theta0", "layer0.theta2", "layer2.theta0")},
+                 **{name: np.zeros(1) for name in ("layer0.bias", "layer2.bias")})
+    with pytest.raises(ValueError, match="unread checkpoint arrays layer0.theta2, layer2.bias, "
+                                         "layer2.theta0"):
+        nf.load_parameters(path)
 
 
 def test_parameters_must_be_tape_values(rng):
@@ -362,16 +367,14 @@ def test_network_config_validation():
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_blueprint_equals_feature_leaf_composition(order):
     # values and every weight gradient equal the network with the features as
-    # a leaf and the first layer's recursion on the tape, bit for bit
+    # a leaf and every recursion step on the tape, bit for bit
     mesh = build_mesh(7, 5)
     graph = build_element_graph(mesh)
     feats = fourier_encode(normalize_centroids(mesh), 4, 2.0, 0)
     layers = nf.init_parameters(nf.NetworkConfig((8, 6, 5, 1), cheb_order=order, seed=order))
     w = np.random.default_rng(order).standard_normal(mesh.n_elems)
-    basis = nf.chebyshev_basis(feats, graph, order)
     routes = {
-        "basis": lambda leaves: nf.predict_blueprint(basis, graph, leaves),
-        "raw": lambda leaves: nf.predict_blueprint(feats, graph, leaves),
+        "network": lambda leaves: nf.predict_blueprint(feats, graph, leaves),
         "reference": lambda leaves: composed_blueprint(feats, graph, leaves, leaves[0].bias.tape),
     }
     results = {}
@@ -384,29 +387,24 @@ def test_blueprint_equals_feature_leaf_composition(order):
         grads = t.backward((b * w).sum())
         results[name] = (b.value, [grads.of(x) for x in nf.parameter_arrays(leaves)], nodes)
     ref_value, ref_grads, _ref_nodes = results["reference"]
-    for name in ("basis", "raw"):
-        value, grads, nodes = results[name]
-        assert np.array_equal(value, ref_value), name
-        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads)), name
-        # the whole network is one tape operation
-        assert nodes == 1, name
+    value, grads, nodes = results["network"]
+    assert np.array_equal(value, ref_value)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+    # the whole network is one tape operation
+    assert nodes == 1
 
 
-def test_basis_is_never_served_to_another_graph_or_features(rng):
+def test_each_call_reads_its_own_features_and_graph(rng):
     mesh = build_mesh(4, 3)
     graph = build_element_graph(mesh)
-    twin = build_element_graph(mesh)  # equal values, another object
     feats = rng.standard_normal((mesh.n_elems, 6))
     layers = nf.init_parameters(nf.NetworkConfig((6, 5, 1), cheb_order=2, seed=1))
     t = ad.Tape()
     leaves = nf.leaf_parameters(t, layers)
-    with pytest.raises(ValueError):
-        nf.predict_blueprint(nf.chebyshev_basis(feats, graph, 2), twin, leaves)
-    with pytest.raises(ValueError):
-        nf.predict_blueprint(nf.chebyshev_basis(feats, graph, 1), graph, leaves)
-    with pytest.raises(ValueError):
-        nf.chebyshev_basis(feats[:-1], graph, 2)
-    # raw features are expanded on every call, so a second matrix and a
+    with pytest.raises(ValueError, match=r"feature matrix shape \(11, 6\) does not match a graph "
+                                         r"of 12 elements"):
+        nf.predict_blueprint(feats[:-1], graph, leaves)
+    # nothing is kept from one call to the next, so a second matrix and a
     # second graph each get their own terms
     other_graph = build_element_graph(build_mesh(3, 4))
     for g, x in ((graph, feats), (graph, 2.0 * feats), (other_graph, feats)):
@@ -423,9 +421,8 @@ def _networks(draw):
     order = draw(st.integers(0, 3))
     # large weights drive logits past the +-8 clamp
     scale = draw(st.sampled_from([0.5, 1.0, 4.0, 20.0]))
-    route = draw(st.sampled_from(["basis", "raw"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return nelx, nely, widths, order, scale, route, seed
+    return nelx, nely, widths, order, scale, seed
 
 
 def _network_pass(route, layers, cotangent):
@@ -438,8 +435,8 @@ def _network_pass(route, layers, cotangent):
 
 
 def _drawn_network(instance):
-    """(mesh, features, layers, cotangent, route) of a :func:`_networks` draw."""
-    nelx, nely, widths, order, scale, route_name, seed = instance
+    """(graph, features, layers, cotangent, route) of a :func:`_networks` draw."""
+    nelx, nely, widths, order, scale, seed = instance
     rng = np.random.default_rng(seed)
     mesh = build_mesh(nelx, nely)
     graph = build_element_graph(mesh)
@@ -449,11 +446,7 @@ def _drawn_network(instance):
         layer.weights = [scale * w for w in layer.weights]
         layer.bias = rng.standard_normal(layer.bias.shape)
     cotangent = rng.standard_normal(mesh.n_elems)
-    if route_name == "basis":
-        basis = nf.chebyshev_basis(feats, graph, order)
-        route = lambda leaves: nf.predict_blueprint(basis, graph, leaves)  # noqa: E731
-    else:
-        route = lambda leaves: nf.predict_blueprint(feats, graph, leaves)  # noqa: E731
+    route = lambda leaves: nf.predict_blueprint(feats, graph, leaves)  # noqa: E731
     return graph, feats, layers, cotangent, route
 
 
@@ -520,22 +513,22 @@ def test_pass_memory_stays_within_bound():
     # order: the pass keeps the two hidden inputs H, and the VJP's largest
     # moment holds a layer's adjoint, its stacked Chebyshev terms and their
     # inputs, about 6.4 arrays of n x 64 in all. The bound of 8 sits below
-    # the 9.4 of a pass that also keeps every T_k H and five n x 64 scratch
-    # arrays in the basis. Afterwards nothing of the pass stays allocated:
-    # the basis holds only its terms.
+    # the 8.24 of a VJP that keeps a layer's stacked terms while the next
+    # layer stacks its own, and the 9.4 of a pass that also keeps every
+    # T_k H and five n x 64 scratch arrays. Afterwards nothing of the pass
+    # stays allocated.
     mesh = build_mesh(40, 20)
     graph = build_element_graph(mesh)
     rng = np.random.default_rng(0)
     feats = rng.standard_normal((mesh.n_elems, 128))
     layers = nf.init_parameters(nf.NetworkConfig((128, 64, 64, 1), cheb_order=1, seed=0))
-    basis = nf.chebyshev_basis(feats, graph, 1)
     cotangent = rng.standard_normal(mesh.n_elems)
     array = mesh.n_elems * 64 * 8  # bytes of one n x 64 array
     tracemalloc.start()
     try:
         t = ad.Tape()
         leaves = nf.leaf_parameters(t, layers)
-        grads = t.backward((nf.predict_blueprint(basis, graph, leaves) * cotangent).sum())
+        grads = t.backward((nf.predict_blueprint(feats, graph, leaves) * cotangent).sum())
         _, peak = tracemalloc.get_traced_memory()
         del t, leaves, grads
         left, _ = tracemalloc.get_traced_memory()
@@ -543,16 +536,14 @@ def test_pass_memory_stays_within_bound():
         tracemalloc.stop()
     assert peak < 8.0 * array, peak / array
     assert left < 0.1 * array, left / array
-    assert set(vars(basis)) == {"terms", "graph"}
 
 
-def test_passes_on_one_basis_differentiate_in_any_order(rng):
-    # each pass owns its activations: two passes on one basis each give the
-    # composed network's gradients, whichever backward runs first
+def test_passes_on_one_feature_matrix_differentiate_in_any_order(rng):
+    # each pass owns its activations: two passes on one feature matrix each
+    # give the composed network's gradients, whichever backward runs first
     mesh = build_mesh(6, 4)
     graph = build_element_graph(mesh)
     feats = rng.standard_normal((mesh.n_elems, 5))
-    basis = nf.chebyshev_basis(feats, graph, 2)
     nets = [
         nf.init_parameters(nf.NetworkConfig((5, 7, 6, 1), cheb_order=2, seed=seed))
         for seed in (4, 5)
@@ -569,7 +560,7 @@ def test_passes_on_one_basis_differentiate_in_any_order(rng):
         for net in nets:
             t = ad.Tape()
             leaves = nf.leaf_parameters(t, net)
-            passes.append((t, leaves, nf.predict_blueprint(basis, graph, leaves)))
+            passes.append((t, leaves, nf.predict_blueprint(feats, graph, leaves)))
         for i in order + order:  # and as often as asked
             t, leaves, b = passes[i]
             grads = t.backward((b * w).sum())
