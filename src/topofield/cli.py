@@ -135,20 +135,15 @@ class BenchmarkCase:
         f = np.zeros(mesh.n_dofs)
         passive = np.zeros(mesh.n_elems)
         if self.name == "simply_supported":
-            n_bl = mesh.node_id(0, 0)
             n_br = mesh.node_id(mesh.nelx, 0)
-            fixed = np.array([2 * n_bl, 2 * n_bl + 1, 2 * n_br + 1])
-            bottom_nodes = np.array([mesh.node_id(j, 0) for j in range(mesh.nelx + 1)])
-            f[2 * bottom_nodes + 1] = -self.load_scale
+            fixed = np.array([0, 1, 2 * n_br + 1])  # node 0 pinned, n_br on a roller
+            f[1 : 2 * n_br + 2 : 2] = -self.load_scale  # y of every bottom node
             passive[: mesh.nelx] = 1.0
-        elif self.name == "tip_cantilever":
-            left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
+        else:  # the cantilevers: left edge clamped, loaded at the free edge's foot or middle
+            left = np.arange(mesh.nely + 1) * (mesh.nelx + 1)
             fixed = np.concatenate([2 * left, 2 * left + 1])
-            f[2 * mesh.node_id(mesh.nelx, 0) + 1] = -self.load_scale
-        else:  # mid_cantilever
-            left = np.array([mesh.node_id(0, i) for i in range(mesh.nely + 1)])
-            fixed = np.concatenate([2 * left, 2 * left + 1])
-            f[2 * mesh.node_id(mesh.nelx, mesh.nely // 2) + 1] = -self.load_scale
+            load_row = 0 if self.name == "tip_cantilever" else mesh.nely // 2
+            f[2 * mesh.node_id(mesh.nelx, load_row) + 1] = -self.load_scale
         return np.sort(fixed), f, passive
 
 

@@ -368,8 +368,9 @@ def point_support_elements(mesh: StructuredMesh, fixed_dofs) -> tuple:
     grid = np.pad(fixed.reshape(mesh.nely + 1, mesh.nelx + 1), 1)
     inner = grid[1:-1, 1:-1]
     neighbour = grid[:-2, 1:-1] | grid[2:, 1:-1] | grid[1:-1, :-2] | grid[1:-1, 2:]
-    pins = np.flatnonzero(inner & ~neighbour)
-    touches = np.isin(mesh.dof_map[:, 0::2] // 2, pins).any(axis=1)
+    pin = inner & ~neighbour
+    # element (i, j) has the corner nodes (i, j), (i, j+1), (i+1, j), (i+1, j+1)
+    touches = pin[:-1, :-1] | pin[:-1, 1:] | pin[1:, :-1] | pin[1:, 1:]
     return tuple(int(e) for e in np.flatnonzero(touches))
 
 

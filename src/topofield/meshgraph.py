@@ -72,21 +72,16 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     h = float(elem_size)
 
     jx, iy = np.meshgrid(np.arange(nelx + 1), np.arange(nely + 1))
-    node_coords = np.column_stack([jx.ravel() * h, iy.ravel() * h]).astype(float)
+    node_coords = np.column_stack([jx.ravel() * h, iy.ravel() * h])
 
     ej, ei = np.meshgrid(np.arange(nelx), np.arange(nely))
     ej, ei = ej.ravel(), ei.ravel()
     elem_centroids = np.column_stack([(ej + 0.5) * h, (ei + 0.5) * h])
 
-    # corner nodes counter-clockwise: bottom-left, bottom-right, top-right, top-left
-    n_bl = ei * (nelx + 1) + ej
-    n_br = n_bl + 1
-    n_tr = n_bl + (nelx + 1) + 1
-    n_tl = n_bl + (nelx + 1)
-    corners = np.column_stack([n_bl, n_br, n_tr, n_tl])
-    dof_map = np.empty((nelx * nely, 8), dtype=np.int64)
-    dof_map[:, 0::2] = 2 * corners
-    dof_map[:, 1::2] = 2 * corners + 1
+    # corner nodes counter-clockwise from the bottom-left one, as offsets from
+    # it: bottom-left, bottom-right, top-right, top-left; x then y DOF of each
+    corners = np.array([0, 1, nelx + 2, nelx + 1])
+    dof_map = 2 * (ei * (nelx + 1) + ej)[:, None] + (2 * corners[:, None] + [0, 1]).ravel()
 
     return StructuredMesh(nelx, nely, h, node_coords, elem_centroids, dof_map)
 
@@ -99,28 +94,28 @@ def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
     (colour the elements like a chessboard), so lambda_max = -2 on any mesh
     with an edge and the scaled Laplacian is -D^{-1/2} A D^{-1/2}, whose
     spectrum spans [-1, 1] exactly. A lone element's row stays empty.
+    Both matrices are written directly in canonical CSR: row e lists the
+    neighbours e - nelx, e - 1, e + 1, e + nelx that exist, where the scaled
+    Laplacian holds -1/sqrt(d_e d_nbr).
     """
-    n = mesh.n_elems
-    ids = np.arange(n).reshape(mesh.nely, mesh.nelx)
-    pairs = np.vstack([
-        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
-        np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()]),
-    ])
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    adjacency = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    degree = adjacency.sum(axis=1)
+    nelx, nely, n = mesh.nelx, mesh.nely, mesh.n_elems
+    # the neighbours below, left, right and above, where the mesh has them
+    exists = np.ones((nely, nelx, 4), dtype=bool)
+    exists[0, :, 0] = exists[:, 0, 1] = exists[:, -1, 2] = exists[-1, :, 3] = False
+    degree = exists.sum(axis=2).ravel()
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    indices = (np.arange(n).reshape(n, 1) + np.array([-nelx, -1, 1, nelx]))[exists.reshape(n, 4)]
     # a lone element (degree 0) has an empty row, whatever scale it is given
-    dhalf = sp.diags_array(1.0 / np.sqrt(np.maximum(degree, 1)), format="csr")
-    return ElementGraph(adjacency, -(dhalf @ adjacency @ dhalf))
+    dhalf = 1.0 / np.sqrt(np.maximum(degree, 1))
+    scaled = np.repeat(-dhalf, degree) * dhalf[indices]
+    adjacency = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    laplacian = sp.csr_array((scaled, indices, indptr), shape=(n, n))
+    return ElementGraph(adjacency, laplacian)
 
 
 def normalize_centroids(mesh: StructuredMesh) -> np.ndarray:
     """Map element centroids onto [0, 1]^2, each axis independently."""
-    c = mesh.elem_centroids.copy()
-    c[:, 0] /= mesh.nelx * mesh.elem_size
-    c[:, 1] /= mesh.nely * mesh.elem_size
-    return c
+    return mesh.elem_centroids / (np.array([mesh.nelx, mesh.nely]) * mesh.elem_size)
 
 
 def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np.ndarray:
@@ -129,15 +124,38 @@ def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np
     B is an (m, 2) matrix with i.i.d. Gaussian(0, scale^2) entries drawn from
     ``np.random.default_rng(seed).normal(0.0, scale, (m, 2))``; that draw is
     part of the reproducibility contract. Coordinates are expected in [0,1]^2
-    (see :func:`normalize_centroids`).
+    (see :func:`normalize_centroids`), as an (n, 2) matrix.
+
+    The phase 2 pi B x is alpha + beta, alpha = 2 pi B[:, 0] x_1 and beta =
+    2 pi B[:, 1] x_2: sin and cos run on each coordinate's distinct values
+    only (nelx + nely per frequency on the grid) and angle addition joins
+    them. The features equal the direct evaluation up to rounding, not bit
+    for bit, and are clipped to [-1, 1].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= scale < np.inf:
         raise ValueError("scale must be non-negative and finite")
-    pts = np.atleast_2d(np.asarray(centroids, dtype=float))
+    pts = np.asarray(centroids, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"centroids must be an (n, 2) matrix, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("centroids must be finite")
     freq = np.random.default_rng(seed).normal(0.0, scale, (m, 2))
-    phase = 2.0 * np.pi * (pts @ freq.T)
-    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    (x, ix), (y, iy) = (np.unique(pts[:, k], return_inverse=True) for k in (0, 1))
+    alpha, beta = 2.0 * np.pi * np.outer(x, freq[:, 0]), 2.0 * np.pi * np.outer(y, freq[:, 1])
+    sin_x, cos_x, sin_y, cos_y = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    # three n x m buffers ("clip" mode gathers into them unbuffered), taken
+    # before the output: freed, they leave the heap below the features as the
+    # direct phase, sin and cos would, and a run's peak memory turns on that
+    u, v, w = np.empty((3, len(pts), m))
+    out = np.empty((len(pts), 2 * m))
+    sin, cos = out[:, :m], out[:, m:]
+    for table, index, buf in ((sin_x, ix, u), (cos_x, ix, v), (cos_y, iy, w)):
+        np.take(table, index, axis=0, out=buf, mode="clip")
+    np.multiply(u, w, out=sin)  # sin alpha cos beta
+    np.multiply(v, w, out=cos)  # cos alpha cos beta
+    np.take(sin_y, iy, axis=0, out=w, mode="clip")
+    sin += np.multiply(v, w, out=v)  # + cos alpha sin beta
+    cos -= np.multiply(u, w, out=u)  # - sin alpha sin beta
+    return np.clip(out, -1.0, 1.0, out=out)

@@ -122,3 +122,38 @@ def composed_blueprint(features, graph, layers, tape):
         out = acc + layer.bias
     out = ad.sigmoid(clamp_straight_through(out, -8.0, 8.0))
     return reshape(out, (out.value.shape[0],))
+
+
+def composed_graph(mesh):
+    """The element graph built the general way, a COO edge list summed into
+    CSR, degrees by a row sum and the scaled Laplacian as the sparse product
+    -D^{-1/2} A D^{-1/2}: the reference for
+    :func:`topofield.meshgraph.build_element_graph`'s closed form."""
+    import scipy.sparse as sp
+
+    n = mesh.n_elems
+    ids = np.arange(n).reshape(mesh.nely, mesh.nelx)
+    pairs = np.vstack([
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()]),
+    ])
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adjacency = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    degree = adjacency.sum(axis=1)
+    dhalf = sp.diags_array(1.0 / np.sqrt(np.maximum(degree, 1)), format="csr")
+    return adjacency, -(dhalf @ adjacency @ dhalf)
+
+
+def scanned_point_supports(mesh, fixed_dofs):
+    """Elements with a corner on a point support, found by scanning every
+    element's corner nodes: the reference for
+    :func:`topofield.fea.point_support_elements`'s grid arithmetic."""
+    fixed = np.zeros(mesh.n_nodes, dtype=bool)
+    fixed[np.asarray(fixed_dofs, dtype=np.int64) // 2] = True
+    grid = np.pad(fixed.reshape(mesh.nely + 1, mesh.nelx + 1), 1)
+    inner = grid[1:-1, 1:-1]
+    neighbour = grid[:-2, 1:-1] | grid[2:, 1:-1] | grid[1:-1, :-2] | grid[1:-1, 2:]
+    pins = np.flatnonzero(inner & ~neighbour)
+    touches = np.isin(mesh.dof_map[:, 0::2] // 2, pins).any(axis=1)
+    return tuple(int(e) for e in np.flatnonzero(touches))

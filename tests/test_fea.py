@@ -9,7 +9,7 @@ from topofield import autodiff as ad
 from topofield import fea
 from topofield.oracle import finite_difference_gradient
 
-from conftest import cantilever_problem, rel_err
+from conftest import cantilever_problem, rel_err, scanned_point_supports
 
 
 def _reference_stiffness(nu):
@@ -565,6 +565,22 @@ def test_point_support_elements_finds_pins_not_clamps():
     assert fea.point_support_elements(small, [2 * centre, 2 * centre + 1]) == (5, 6, 9, 10)
     line = [2 * small.node_id(0, 0), 2 * small.node_id(1, 0) + 1]
     assert fea.point_support_elements(small, line) == ()
+
+
+@pytest.mark.parametrize("nelx, nely", [(1, 1), (2, 1), (1, 3), (4, 4), (60, 20), (20, 60), (120, 40)])
+def test_point_support_elements_equal_corner_scan(nelx, nely):
+    mesh = tf.build_mesh(nelx, nely)
+    for name in ("simply_supported", "tip_cantilever", "mid_cantilever"):
+        fixed, _f, _passive = tf.preset(name).build_problem(mesh)
+        assert fea.point_support_elements(mesh, fixed) == scanned_point_supports(mesh, fixed)
+    # each corner of the grid as a lone pin, then random node sets
+    rng = np.random.default_rng(nelx * 1000 + nely)
+    for fixed_nodes in [[0], [nelx], [mesh.n_nodes - 1], [mesh.n_nodes - 1 - nelx]] + [
+        rng.choice(mesh.n_nodes, size=rng.integers(1, mesh.n_nodes + 1), replace=False)
+        for _ in range(5)
+    ]:
+        fixed = 2 * np.asarray(fixed_nodes)
+        assert fea.point_support_elements(mesh, fixed) == scanned_point_supports(mesh, fixed)
 
 
 def test_pnorm_skips_excluded_elements():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topofield.meshgraph import (
     build_element_graph,
@@ -7,6 +9,8 @@ from topofield.meshgraph import (
     fourier_encode,
     normalize_centroids,
 )
+
+from conftest import composed_graph
 
 
 def test_mesh_counts_benchmark_size():
@@ -109,6 +113,36 @@ def test_scaled_laplacian_spectrum_spans_unit_interval():
         assert np.allclose(lap, -adjacency / np.sqrt(np.outer(degree, degree)), rtol=0, atol=1e-15)
 
 
+def _assert_same_csr(got, reference):
+    assert got.shape == reference.shape
+    assert got.has_sorted_indices and reference.has_sorted_indices
+    assert np.array_equal(got.indptr, reference.indptr)
+    assert np.array_equal(got.indices, reference.indices)
+    assert got.data.dtype == reference.data.dtype
+    assert got.data.tobytes() == reference.data.tobytes()
+
+
+def _assert_graph_matches_reference(nelx, nely):
+    mesh = build_mesh(nelx, nely)
+    graph = build_element_graph(mesh)
+    adjacency, laplacian = composed_graph(mesh)
+    _assert_same_csr(graph.adjacency, adjacency)
+    _assert_same_csr(graph.laplacian_scaled, laplacian)
+
+
+@pytest.mark.parametrize(
+    "nelx, nely", [(1, 1), (5, 1), (1, 4), (2, 1), (3, 3), (60, 20), (20, 60), (120, 40)]
+)
+def test_closed_form_graph_equals_sparse_products(nelx, nely):
+    _assert_graph_matches_reference(nelx, nely)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nelx=st.integers(1, 40), nely=st.integers(1, 40))
+def test_closed_form_graph_equals_sparse_products_any_size(nelx, nely):
+    _assert_graph_matches_reference(nelx, nely)
+
+
 def test_rebuild_determinism():
     a = build_element_graph(build_mesh(6, 3))
     b = build_element_graph(build_mesh(6, 3))
@@ -131,13 +165,97 @@ def test_fourier_identical_centroids_identical_features():
 
 
 def test_fourier_direct_reevaluation_bit_for_bit():
-    # the frequency draw is checked through the features it gives
-    feats = fourier_encode(np.array([[0.5, 0.5]]), m=4, scale=2.0, seed=7)
+    # the frequency draw is checked through the features it gives, written
+    # out as the per-coordinate phases alpha = 2 pi B[:, 0] x and
+    # beta = 2 pi B[:, 1] y joined by angle addition; the points repeat both
+    # coordinates
+    pts = np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.75], [0.25, 0.75], [0.5, 0.5]])
+    feats = fourier_encode(pts, m=4, scale=2.0, seed=7)
     b = np.random.default_rng(7).normal(0.0, 2.0, (4, 2))
-    phase = 2.0 * np.pi * (b @ np.array([0.5, 0.5]))
-    expected = np.concatenate([np.sin(phase), np.cos(phase)])
-    assert feats.shape == (1, 8)
-    assert np.array_equal(feats[0], expected)
+    alpha = 2.0 * np.pi * (pts[:, :1] * b[:, 0])
+    beta = 2.0 * np.pi * (pts[:, 1:] * b[:, 1])
+    sin = np.sin(alpha) * np.cos(beta) + np.cos(alpha) * np.sin(beta)
+    cos = np.cos(alpha) * np.cos(beta) - np.sin(alpha) * np.sin(beta)
+    expected = np.clip(np.concatenate([sin, cos], axis=1), -1.0, 1.0)
+    assert feats.shape == (5, 8)
+    assert np.array_equal(feats, expected)
+
+
+def _assert_direct_evaluation(pts, m, scale, seed):
+    """Features equal sin/cos(2 pi B x) evaluated directly within 8 eps
+    (1 + P), P the largest 2 pi (|b_1 x| + |b_2 y|) over points and
+    frequencies: both phases carry a few roundings relative to P, and the
+    angle addition a few more relative to 1. Every feature is in [-1, 1]."""
+    feats = fourier_encode(pts, m, scale, seed)
+    b = np.random.default_rng(seed).normal(0.0, scale, (m, 2))
+    phase = 2.0 * np.pi * (pts @ b.T)
+    direct = np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    largest = 2.0 * np.pi * (np.abs(pts) @ np.abs(b).T).max(initial=0.0)
+    assert feats.shape == direct.shape
+    assert np.abs(feats - direct).max(initial=0.0) <= 8 * np.finfo(float).eps * (1.0 + largest)
+    assert np.all(np.abs(feats) <= 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nelx=st.integers(1, 40),
+    nely=st.integers(1, 40),
+    m=st.integers(1, 16),
+    scale=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fourier_grid_features_match_direct_evaluation(nelx, nely, m, scale, seed):
+    _assert_direct_evaluation(normalize_centroids(build_mesh(nelx, nely)), m, scale, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    m=st.integers(1, 16),
+    scale=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-3, 1e3),
+)
+@example(n=0, m=3, scale=1.0, seed=0, spread=1.0)
+def test_fourier_scattered_features_match_direct_evaluation(n, m, scale, seed, spread):
+    pts = np.random.default_rng(seed).uniform(-spread, spread, (n, 2))
+    _assert_direct_evaluation(pts, m, scale, seed)
+
+
+def test_fourier_evaluates_sin_cos_per_distinct_coordinate(monkeypatch):
+    # a count repeats exactly where a timing would flake: on the 120 x 40
+    # centroids sin and cos each see the 120 x and 40 y phases per frequency
+    counted = []
+    for name in ("sin", "cos"):
+        def counting(x, *args, _f=getattr(np, name), **kwargs):
+            counted.append(np.size(x))
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    m = 16
+    fourier_encode(normalize_centroids(build_mesh(120, 40)), m, 2.0, 0)
+    assert sum(counted) == 2 * (120 + 40) * m
+
+
+def test_fourier_clips_angle_addition_rounding_to_unit_range():
+    # where alpha + beta = pi / 2 the two products can round to a sum of
+    # 1 + eps; such features are clipped to 1
+    b = np.random.default_rng(0).normal(0.0, 1.0, (1, 2))
+    target = np.linspace(-3.0, 3.0, 401)
+    pts = np.column_stack([target / (2 * np.pi * b[0, 0]), (np.pi / 2 - target) / (2 * np.pi * b[0, 1])])
+    alpha = 2.0 * np.pi * (pts[:, 0] * b[0, 0])
+    beta = 2.0 * np.pi * (pts[:, 1] * b[0, 1])
+    raw = np.sin(alpha) * np.cos(beta) + np.cos(alpha) * np.sin(beta)
+    assert raw.max() > 1.0
+    feats = fourier_encode(pts, 1, 1.0, 0)
+    assert np.array_equal(feats[:, 0], np.minimum(raw, 1.0))
+    assert np.abs(feats).max() <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 1), (3, 3), (2,), (), (0,)])
+def test_fourier_rejects_points_that_are_not_an_n_by_2_matrix(shape):
+    with pytest.raises(ValueError, match=r"must be an \(n, 2\) matrix, got shape"):
+        fourier_encode(np.zeros(shape), m=2, scale=1.0, seed=0)
 
 
 def test_fourier_feature_range():
