@@ -6,6 +6,12 @@ a :class:`Tape`. Operations record their inputs and a vector-Jacobian closure;
 accumulates adjoints additively. The engine knows nothing of the pipeline: a
 composite operation (the network, the overhang filter, the equilibrium solve)
 is recorded by the module that owns it, as one node with a hand-written VJP.
+
+A tape can be backpropagated as often as asked. A caller that backpropagates
+each pass once passes ``release=True``: each VJP closure, and the state it
+holds (a solve's factor, a filter's rows), is then dropped as soon as it has
+run, and a later ``backward`` that reaches a released node raises
+``RuntimeError`` until :meth:`Tape.reset`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ class NumericDomainError(ArithmeticError):
 class SolverFailureError(RuntimeError):
     """The reduced stiffness matrix could not be factorized (singular or
     indefinite)."""
+
+
+# a released node's VJP; None would mark it a leaf and pass for a zero gradient
+_RELEASED = object()
 
 
 class _Node:
@@ -64,11 +74,15 @@ class Tape:
         self._nodes.append(_Node(inputs, vjp))
         return DiffValue(self, nid, val)
 
-    def backward(self, out: "DiffValue") -> "Gradients":
+    def backward(self, out: "DiffValue", release: bool = False) -> "Gradients":
         """Accumulate d(out)/d(node) for every node reachable from ``out``.
 
-        ``out`` must be scalar. Returns a :class:`Gradients` map; the tape is
-        left intact and can be reset for a fresh forward pass.
+        ``out`` must be scalar. Returns a :class:`Gradients` map. By default
+        the tape is left intact, to backpropagate again or reset. With
+        ``release=True`` each node's VJP closure is dropped as soon as it has
+        run, freeing what it holds before the next node runs; the node keeps
+        its id, and a later ``backward`` that reaches it raises
+        ``RuntimeError`` naming it. Such a tape is backpropagated once.
         """
         if out.tape is not self:
             raise ValueError("output belongs to a different tape")
@@ -84,7 +98,12 @@ class Tape:
             node = self._nodes[nid]
             if node.vjp is None:
                 continue
-            for inp, gin in zip(node.inputs, node.vjp(g)):
+            if node.vjp is _RELEASED:
+                raise RuntimeError(f"tape node {nid} was released by backward(release=True)")
+            g_inputs = node.vjp(g)
+            if release:
+                node.vjp = _RELEASED
+            for inp, gin in zip(node.inputs, g_inputs):
                 if gin is None:
                     continue
                 acc = adjoints.get(inp)

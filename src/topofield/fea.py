@@ -95,10 +95,11 @@ class DensityRangeError(ValueError):
 
 
 def check_density_range(rho: np.ndarray) -> None:
-    """Raise :class:`DensityRangeError` unless every density lies in [0, 1]."""
+    """Raise :class:`DensityRangeError` unless every density lies in
+    [0, 1 + 1e-9]. None below 0 passes: it has no real fractional SIMP power."""
     # min and max are NaN when any density is, and NaN fails both bounds
     lo, hi = rho.min(), rho.max()
-    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
+    if not (lo >= 0.0 and hi <= 1.0 + 1e-9):
         raise DensityRangeError(f"densities outside [0,1]: min {lo:.3e}, max {hi:.3e}")
 
 

@@ -217,17 +217,17 @@ class NetworkPass:
         """Adjoints of the parameters, in :func:`parameter_arrays` order,
         given the adjoint g of the flat blueprint.
 
-        L is symmetric, so a layer's P_k has the adjoint T_k(L) G, G that of
-        its pre-activation: dW_k = H^T T_k G, and dH = sum_k T_k G W_k^T is
-        one product of the stacked terms and weights, as on the tape. The
-        first layer's H is the features, whose adjoint is not formed."""
-        lap_t = self.lap.T
+        L is symmetric entry for entry, so a layer's P_k has the adjoint
+        T_k(L) G, G that of its pre-activation: dW_k = H^T T_k G, and
+        dH = sum_k T_k G W_k^T is one product of the stacked terms and
+        weights, as on the tape. The first layer's H is the features, whose
+        adjoint is not formed."""
         val = self.value
         grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
         adjoints = []
         for index in reversed(range(len(self.weights))):
             h, weights = self.inputs[index], self.weights[index]
-            stacked = np.concatenate(_chebyshev_terms(lap_t, grad, len(weights) - 1), axis=1)
+            stacked = np.concatenate(_chebyshev_terms(self.lap, grad, len(weights) - 1), axis=1)
             layer = np.hsplit(h.T @ stacked, len(weights))
             layer.append(grad.sum(axis=0))
             adjoints[:0] = layer

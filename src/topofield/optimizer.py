@@ -366,7 +366,8 @@ def run_optimization(case) -> OptimizationResult:
             # the weights that predicted this iterate, before the step moves them
             ranks_best = best is None or rank < best[0]
             weights = copy.deepcopy(layers) if ranks_best else None
-            grads = tape.backward(loss)
+            # one backward per tape: free the solve's factor before the network's VJP
+            grads = tape.backward(loss, release=True)
             leaf_list = parameter_arrays(leaves)
             adam_step(arrays, [grads.of(leaf) for leaf in leaf_list], adam)
         except RUN_FAILURES as err:

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import topofield as tf
 from topofield import autodiff as ad
+from topofield import fea
 from topofield.oracle import finite_difference_gradient
 
 from conftest import cantilever_problem, concat, rel_err, reshape
@@ -90,6 +93,78 @@ def test_tape_reusable_after_backward():
     x = t.leaf(4.0)
     g2 = t.backward(x * x).of(x)
     assert (g1, g2) == (4.0, 8.0)
+
+
+def test_release_frees_the_solve_factor_before_earlier_nodes_run(monkeypatch):
+    # the first node recorded with a VJP runs last; by then a released tape
+    # has dropped the solve's closure and, with it, the only reference to
+    # the factor, while the default keeps it until the tape goes
+    mesh, fixed, f = cantilever_problem(3, 2)
+    factors = []
+    factorize = fea.SimpAssembler.factorize
+
+    def factorize_and_watch(assembler, rho):
+        factor = factorize(assembler, rho)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(fea.SimpAssembler, "factorize", factorize_and_watch)
+    factor_alive, grads = [], []
+    for release in (False, True):
+        t = ad.Tape()
+        x = t.leaf(np.full(mesh.n_elems, 0.5))
+
+        def watch(g):
+            factor_alive.append(factors[-1]() is not None)
+            return (g,)
+
+        rho = t._record(x.value, (x.nid,), watch)
+        u, _ = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+        grads.append(t.backward(tf.compliance(u, f), release=release).of(x))
+    assert factor_alive == [True, False]
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_second_backward_on_a_released_tape_names_the_node():
+    t = ad.Tape()
+    x = t.leaf(2.0)
+    y = x * x
+    z = y + 1.0
+    assert t.backward(z, release=True).of(x) == 4.0
+    # released nodes keep their place, and none passes for a leaf
+    assert len(t) == 3
+    with pytest.raises(RuntimeError, match="tape node 2 was released"):
+        t.backward(z)
+    with pytest.raises(RuntimeError, match="tape node 1 was released"):
+        t.backward(y, release=True)
+    # a leaf has no VJP to release: its own backward still works
+    assert t.backward(x).of(x) == 1.0
+
+
+def test_released_tape_records_again_after_reset():
+    t = ad.Tape()
+    x = t.leaf(2.0)
+    t.backward(x * x, release=True)
+    t.reset()
+    x = t.leaf(3.0)
+    y = x * x
+    assert t.backward(y, release=True).of(x) == 6.0
+    t.reset()
+    assert len(t) == 0
+
+
+def test_default_backward_repeats_through_filter_and_solve(rng):
+    # gradient checks backpropagate one tape several times through the same
+    # filter and solve; only backward(release=True) forbids that
+    mesh, fixed, f = cantilever_problem(6, 4)
+    t = ad.Tape()
+    b = t.leaf(rng.uniform(0.2, 0.9, mesh.n_elems))
+    rho = tf.apply_filter(b, 6, 4, tf.FilterParams())
+    u, _ = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+    c = tf.compliance(u, f)
+    first = t.backward(c).of(b)
+    assert np.array_equal(t.backward(c).of(b), first)
+    assert np.array_equal(t.backward(c, release=True).of(b), first)
 
 
 def _fd_check(build, x0, tol=1e-7, h=1e-6):

@@ -320,6 +320,22 @@ def test_solve_rejects_densities_outside_unit_interval(density):
         tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
 
 
+@pytest.mark.parametrize("penal", [2.5, 3.0])
+def test_solve_and_stress_refuse_a_negative_density_alike(penal):
+    # x**2.5 of a density a rounding step below 0 is NaN, which the solve
+    # would meet as a singular stiffness and the stresses as a domain error;
+    # at any SIMP exponent both refuse it as a density out of range
+    mesh, fixed, f = cantilever_problem(3, 2)
+    mat = tf.MaterialModel(penal=penal)
+    t = ad.Tape()
+    rho = t.leaf(np.full(mesh.n_elems, 0.5))
+    rho.value[0] = -1e-10
+    with pytest.raises(fea.DensityRangeError, match="outside"):
+        tf.assemble_and_solve(rho, mesh, mat, fixed, f)
+    with pytest.raises(fea.DensityRangeError, match="outside"):
+        fea.centroid_stress(t.leaf(np.zeros(mesh.n_dofs)), rho, mesh, mat)
+
+
 def test_support_set_is_checked_with_its_band_pattern():
     mesh, fixed, _f = cantilever_problem(3, 2)
     assert fea.band_pattern(mesh, fixed) is fea.band_pattern(mesh, list(fixed))

@@ -143,6 +143,24 @@ def test_closed_form_graph_equals_sparse_products_any_size(nelx, nely):
     _assert_graph_matches_reference(nelx, nely)
 
 
+def _assert_laplacian_is_its_transpose(nelx, nely):
+    # entry (e, nbr) is -d_e^-1/2 d_nbr^-1/2 and IEEE products commute, so the
+    # network's VJP may apply the CSR matrix where it means its transpose
+    lap = build_element_graph(build_mesh(nelx, nely)).laplacian_scaled
+    _assert_same_csr(lap, lap.T.tocsr())
+
+
+@pytest.mark.parametrize("nelx, nely", [(1, 1), (1, 7), (7, 1), (60, 20)])
+def test_scaled_laplacian_equals_its_transpose_bit_for_bit(nelx, nely):
+    _assert_laplacian_is_its_transpose(nelx, nely)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nelx=st.integers(1, 30), nely=st.integers(1, 30))
+def test_scaled_laplacian_equals_its_transpose_any_size(nelx, nely):
+    _assert_laplacian_is_its_transpose(nelx, nely)
+
+
 def test_rebuild_determinism():
     a = build_element_graph(build_mesh(6, 3))
     b = build_element_graph(build_mesh(6, 3))

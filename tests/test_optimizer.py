@@ -393,3 +393,50 @@ def test_consecutive_runs_hold_no_memory():
         if started:
             tracemalloc.stop()
     assert max(levels[1:]) - levels[0] < 2 * 2**20, levels
+
+
+def test_released_backward_peaks_below_the_default_by_the_factor():
+    # the loop's pass at 60 x 20 on one tape: network, filter, solve and
+    # loss. Its backward peaks in the network's VJP, after the solve's; the
+    # default keeps the banded factor, (kd + 1) n_free doubles, alive through
+    # it, where a released tape has dropped it with the solve's closure
+    case = tf.preset("simply_supported")
+    mesh = tf.build_mesh(case.nelx, case.nely)
+    graph = tf.build_element_graph(mesh)
+    features = tf.fourier_encode(
+        tf.meshgraph.normalize_centroids(mesh), case.fourier_m, case.fourier_scale, opt.FOURIER_SEED
+    )
+    fixed, f, passive = case.build_problem(mesh)
+    layers = tf.init_parameters(
+        tf.NetworkConfig((2 * case.fourier_m, *case.hidden_widths, 1), opt.CHEB_ORDER, case.seed),
+        volume_target=case.volume_fraction,
+    )
+    spec = _spec(volume_target=case.volume_fraction * mesh.n_elems,
+                 elem_volumes=np.ones(mesh.n_elems))
+
+    def record():
+        t = ad.Tape()
+        b = tf.predict_blueprint(features, graph, tf.neuralfield.leaf_parameters(t, layers))
+        b = tf.amfilter.apply_passive(b, passive)
+        rho = tf.apply_filter(b, case.nelx, case.nely, tf.FilterParams())
+        u, _ = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+        return t, opt.composite_loss(tf.compliance(u, f), rho, None, spec)
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = {}
+        for release in (False, True):
+            t, loss = record()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t.backward(loss, release=release)
+            peaks[release] = tracemalloc.get_traced_memory()[1] - base
+            del t, loss
+    finally:
+        if started:
+            tracemalloc.stop()
+    pattern = tf.fea.band_pattern(mesh, fixed)
+    factor = (pattern.kd + 1) * pattern.free_dofs.size * 8
+    assert peaks[False] - peaks[True] >= factor, (peaks, factor)
