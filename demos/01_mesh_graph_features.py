@@ -11,8 +11,9 @@ print(f"mesh: {mesh.nelx} x {mesh.nely} elements, {mesh.n_nodes} nodes, {mesh.n_
 print("first element DOF indices:", mesh.dof_map[0])
 
 graph = build_element_graph(mesh)
+# every neighbour holds a nonzero Laplacian entry, so a row's length is the degree
 print("\nelement degrees (grid layout, base layer last):")
-print(np.flipud(graph.adjacency.sum(axis=1).reshape(mesh.nely, mesh.nelx)))
+print(np.flipud(np.diff(graph.laplacian_scaled.indptr).reshape(mesh.nely, mesh.nelx)))
 
 eigs = np.linalg.eigvalsh(graph.laplacian_scaled.toarray())
 print(f"\nscaled Laplacian spectrum: [{eigs.min():.6f}, {eigs.max():.6f}]  (bipartite grid: [-1, 1])")

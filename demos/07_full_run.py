@@ -21,7 +21,7 @@ case = tf.preset(
 print(f"case: {case.name}, {case.nelx}x{case.nely}, filter={case.filter_on}, "
       f"stress={case.stress_on}, sigma_allow={case.sigma_allow}")
 
-summary = tf.run_case(case, "demo_out", run_name="demo-simply-supported")
+summary = tf.run_case(case, "demo_out")
 for key in ("final_compliance", "final_volfrac", "final_sigma_pn", "best_iteration",
             "best_feasible", "wall_time_seconds"):
     print(f"  {key}: {summary[key]}")

@@ -75,9 +75,6 @@ class DensityField:
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
-    def volume_fraction(self) -> float:
-        return float(self.values.mean())
-
     @classmethod
     def from_flat(cls, values, nelx: int, nely: int, kind: str = "printed"):
         return cls(np.asarray(values, dtype=float).reshape(nely, nelx), kind)

@@ -10,6 +10,7 @@ independently toggled; ``compare`` sweeps all three conditions.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from .amfilter import DensityField, FilterParams
 from .autodiff import SolverFailureError
 from .fea import MaterialModel, StressAggregate
-from .meshgraph import StructuredMesh
+from .meshgraph import StructuredMesh, is_integer
 from .neuralfield import NetworkConfig, save_parameters
 from .optimizer import RUN_FAILURES, AdamState, OptimizationResult, run_optimization
 
@@ -63,18 +64,22 @@ def _at_least(lo):
     return lambda x: lo <= x < math.inf
 
 
+def _integer_from(lo):
+    return lambda x: is_integer(x) and lo <= x
+
+
 SETTINGS = (
-    Setting("nelx", "nelx", int, _at_least(1), "at least 1", flag=True),
-    Setting("nely", "nely", int, _at_least(1), "at least 1", flag=True),
+    Setting("nelx", "nelx", int, _integer_from(1), "an integer, at least 1", flag=True),
+    Setting("nely", "nely", int, _integer_from(1), "an integer, at least 1", flag=True),
     Setting("volfrac", "volume_fraction", float, lambda v: 0.0 < v < 1.0, "in (0, 1)", flag=True),
     Setting("filter", "filter_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
     Setting("stress", "stress_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
     Setting("sigma_allow", "sigma_allow", float, _positive, "positive and finite", flag=True),
-    Setting("iters", "iterations", int, _at_least(1), "at least 1", flag=True),
-    Setting("seed", "seed", int, _at_least(0), "at least 0", flag=True),
+    Setting("iters", "iterations", int, _integer_from(1), "an integer, at least 1", flag=True),
+    Setting("seed", "seed", int, _integer_from(0), "an integer, at least 0", flag=True),
     Setting("load_scale", "load_scale", float, _positive, "positive and finite", flag=True),
     Setting("alpha_max", "alpha_max", float, _at_least(0.0), "non-negative and finite"),
-    Setting("fourier_m", "fourier_m", int, _at_least(1), "at least 1"),
+    Setting("fourier_m", "fourier_m", int, _integer_from(1), "an integer, at least 1"),
 )
 
 
@@ -252,30 +257,25 @@ def export_density(field: DensityField, fmt: str, path, elem_size: float = 1.0) 
 # run / compare drivers
 
 
-def run_case(case: BenchmarkCase, out_root, run_name: str | None = None) -> dict:
+def run_case(case: BenchmarkCase, out_root) -> dict:
     """Execute one optimization and write its artifact set.
 
     Artifacts: density image (pgm), density csv + vtk, convergence csv,
     network checkpoint, and a versioned JSON summary. Returns the summary.
     The run directory is made only once the run has returned.
     """
-    return _write_artifacts(case, run_optimization(case), out_root, run_name)
+    return _write_artifacts(case, run_optimization(case), out_root)
 
 
-def _write_artifacts(
-    case: BenchmarkCase, result: OptimizationResult, out_root, run_name: str | None = None
-) -> dict:
-    """Write one run's artifact set into a new directory under ``out_root``
-    (named by time, case, condition and seed unless ``run_name`` is given)."""
+def _write_artifacts(case: BenchmarkCase, result: OptimizationResult, out_root) -> dict:
+    """Write one run's artifact set into a new directory under ``out_root``,
+    named by time, case, condition and seed."""
     out_root = Path(out_root)
-    if run_name is None:
-        condition = _condition_label(case)
-        stem = time.strftime("%Y%m%d-%H%M%S") + f"-{case.name}-{condition}-s{case.seed}"
-        run_name, counter = stem, 0
-        while (out_root / run_name).exists():
-            counter += 1
-            run_name = f"{stem}.{counter}"
-    run_dir = out_root / run_name
+    stem = time.strftime("%Y%m%d-%H%M%S") + f"-{case.name}-{_condition_label(case)}-s{case.seed}"
+    run_dir, counter = out_root / stem, 0
+    while run_dir.exists():
+        counter += 1
+        run_dir = out_root / f"{stem}.{counter}"
     run_dir.mkdir(parents=True, exist_ok=True)
 
     result.record.to_csv(run_dir / "convergence.csv")
@@ -302,12 +302,12 @@ def _summary(case: BenchmarkCase, result: OptimizationResult, run_dir: Path) -> 
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "case": case.name,
         "condition": _condition_label(case),
-        "nelx": case.nelx,
-        "nely": case.nely,
+        "nelx": int(case.nelx),  # a numpy integer is legal, but not JSON
+        "nely": int(case.nely),
         "volume_fraction_target": case.volume_fraction,
         "sigma_allow": case.sigma_allow,
         "load_scale": case.load_scale,
-        "seed": case.seed,
+        "seed": int(case.seed),
         "iterations": len(result.record),
         "best_iteration": result.best_iteration,
         "best_feasible": result.best_feasible,
@@ -362,13 +362,19 @@ class ComparisonResult:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("seed,condition,compliance,error\n")
+        """One row per run: the repr of its C, volume fraction and sigma_PN,
+        its best iteration and whether that was feasible, or its error."""
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["seed", "condition", "compliance", "volfrac", "sigma_pn",
+                          "best_iteration", "best_feasible", "error"])
             for seed in self.seeds:
                 for label, _f, _s in CONDITIONS:
-                    val = self._compliance(label, seed)
-                    err = self.errors.get((label, seed), "")
-                    fh.write(f"{seed},{label},{'' if val is None else repr(val)},{err}\n")
+                    r = self.results.get((label, seed))
+                    cells = [""] * 5 if r is None else [
+                        repr(r.final_compliance), repr(r.final_volfrac),
+                        repr(r.final_sigma_pn), r.best_iteration, r.best_feasible]
+                    out.writerow([seed, label, *cells, self.errors.get((label, seed), "")])
 
 
 def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonResult:

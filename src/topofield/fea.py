@@ -188,30 +188,33 @@ class BandCholesky:
 
 
 class SimpAssembler:
-    """The reduced stiffness K(rho) of one solve: assembles it in band storage,
-    factors it by banded Cholesky and supplies the density chain rule for the
-    solve's adjoint. :func:`assemble_and_solve` sets ``rho`` and ``u`` to the
-    arrays of the solve's DiffValues, not copies."""
+    """The reduced stiffness K(rho) of one solve at the densities ``rho``,
+    checked once here: assembles it in band storage, factors it by banded
+    Cholesky and supplies the density chain rule for the solve's adjoint.
+    :func:`assemble_and_solve` passes the array of the solve's DiffValue, not
+    a copy, and sets ``u`` to the displacements once it has solved."""
 
-    def __init__(self, mesh: StructuredMesh, mat: MaterialModel, fixed_dofs):
+    def __init__(self, mesh: StructuredMesh, mat: MaterialModel, fixed_dofs, rho: np.ndarray):
+        check_density_range(rho)
         self.mesh = mesh
         self.mat = mat
+        self.rho = rho
         self.ke0 = element_stiffness_unit(mat.nu, mesh.elem_size)
         self.pattern = band_pattern(mesh, fixed_dofs)
         self.free_dofs = self.pattern.free_dofs
 
-    def assemble(self, rho: np.ndarray) -> np.ndarray:
+    def assemble(self) -> np.ndarray:
         """Reduced stiffness in lower band storage, shape (kd + 1, n_free)."""
         p = self.pattern
-        e_mod = self.mat.modulus(np.asarray(rho, dtype=float))
+        e_mod = self.mat.modulus(self.rho)
         vals = np.multiply.outer(e_mod, self.ke0.ravel()).ravel()[p.entries]
         n_band = (p.kd + 1) * p.order.size
         return np.bincount(p.slots, vals, minlength=n_band).reshape(-1, p.kd + 1).T
 
-    def factorize(self, rho: np.ndarray) -> BandCholesky:
+    def factorize(self) -> BandCholesky:
         if self.free_dofs.size == 0:
             raise SolverFailureError("no free DOFs to solve for")
-        band = self.assemble(rho)
+        band = self.assemble()
         try:
             chol = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as err:
@@ -233,13 +236,11 @@ class SimpAssembler:
         out[order] = cho_solve_banded((factor.band, True), rhs_full[order], check_finite=False)
         return out
 
-    def density_vjp(
-        self, rho: np.ndarray, u: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
+    def density_vjp(self, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         ue = u[self.mesh.dof_map]
         le = lam[self.mesh.dof_map]
         quad = np.einsum("ej,jk,ek->e", le, self.ke0, ue)
-        return -self.mat.modulus_derivative(rho) * quad
+        return -self.mat.modulus_derivative(self.rho) * quad
 
     @property
     def K(self) -> sp.csc_array:
@@ -268,18 +269,17 @@ def assemble_and_solve(
     (no rigid-body motion). Backward: solve K lam = u_bar on the same factor
     (K is symmetric), then accumulate -lam_e^T (dK_e/drho_e) u_e per element.
     """
-    assembler = SimpAssembler(mesh, mat, fixed_dofs)
+    # the VJP holds no DiffValue, which would tie the tape into a cycle
+    assembler = SimpAssembler(mesh, mat, fixed_dofs, rho.value)
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.n_dofs,):
         raise ValueError(f"load vector must have shape ({mesh.n_dofs},)")
-    rv = rho.value  # the VJP holds no DiffValue, which would tie the tape into a cycle
-    check_density_range(rv)
-    factor = assembler.factorize(rv)
+    factor = assembler.factorize()
     u = assembler.solve(factor, f)
-    assembler.rho, assembler.u = rv, u
+    assembler.u = u
 
     def vjp(g):
-        return (assembler.density_vjp(rv, u, assembler.solve(factor, g)),)
+        return (assembler.density_vjp(u, assembler.solve(factor, g)),)
 
     return rho.tape._record(u, (rho.nid,), vjp), assembler
 

@@ -22,7 +22,6 @@ class StructuredMesh:
     ----------
     nelx, nely : element counts along the span and the print direction.
     elem_size : physical edge length of the (square) elements.
-    node_coords : (n_nodes, 2) nodal coordinates.
     elem_centroids : (n_elems, 2) element centroid coordinates.
     dof_map : (n_elems, 8) global displacement DOF indices per element, node
         order counter-clockwise from the bottom-left corner.
@@ -31,7 +30,6 @@ class StructuredMesh:
     nelx: int
     nely: int
     elem_size: float
-    node_coords: np.ndarray
     elem_centroids: np.ndarray
     dof_map: np.ndarray
 
@@ -54,25 +52,27 @@ class StructuredMesh:
 
 @dataclass(frozen=True)
 class ElementGraph:
-    """Element-adjacency graph with its scaled Laplacian."""
+    """Element-adjacency graph as its scaled Laplacian, whose off-diagonal
+    pattern is the adjacency: every entry -1/sqrt(d_i d_j) is nonzero."""
 
-    adjacency: sp.csr_array
     laplacian_scaled: sp.csr_array
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     """Build a structured mesh of nelx x nely square bilinear quads.
 
-    Raises ValueError for non-positive dimensions.
+    Raises ValueError for dimensions that are not positive integers.
     """
-    if nelx < 1 or nely < 1:
-        raise ValueError(f"mesh dimensions must be positive, got {nelx}x{nely}")
+    if not (is_integer(nelx) and is_integer(nely)) or nelx < 1 or nely < 1:
+        raise ValueError(f"mesh dimensions must be positive integers, got {nelx!r}x{nely!r}")
     if not 0 < elem_size < np.inf:
         raise ValueError("elem_size must be positive and finite")
     h = float(elem_size)
-
-    jx, iy = np.meshgrid(np.arange(nelx + 1), np.arange(nely + 1))
-    node_coords = np.column_stack([jx.ravel() * h, iy.ravel() * h])
 
     ej, ei = np.meshgrid(np.arange(nelx), np.arange(nely))
     ej, ei = ej.ravel(), ei.ravel()
@@ -83,7 +83,7 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
     corners = np.array([0, 1, nelx + 2, nelx + 1])
     dof_map = 2 * (ei * (nelx + 1) + ej)[:, None] + (2 * corners[:, None] + [0, 1]).ravel()
 
-    return StructuredMesh(nelx, nely, h, node_coords, elem_centroids, dof_map)
+    return StructuredMesh(nelx, nely, h, elem_centroids, dof_map)
 
 
 def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
@@ -94,9 +94,8 @@ def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
     (colour the elements like a chessboard), so lambda_max = -2 on any mesh
     with an edge and the scaled Laplacian is -D^{-1/2} A D^{-1/2}, whose
     spectrum spans [-1, 1] exactly. A lone element's row stays empty.
-    Both matrices are written directly in canonical CSR: row e lists the
-    neighbours e - nelx, e - 1, e + 1, e + nelx that exist, where the scaled
-    Laplacian holds -1/sqrt(d_e d_nbr).
+    It is written directly in canonical CSR: row e lists the neighbours
+    e - nelx, e - 1, e + 1, e + nelx that exist, each holding -1/sqrt(d_e d_nbr).
     """
     nelx, nely, n = mesh.nelx, mesh.nely, mesh.n_elems
     # the neighbours below, left, right and above, where the mesh has them
@@ -108,9 +107,7 @@ def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
     # a lone element (degree 0) has an empty row, whatever scale it is given
     dhalf = 1.0 / np.sqrt(np.maximum(degree, 1))
     scaled = np.repeat(-dhalf, degree) * dhalf[indices]
-    adjacency = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    laplacian = sp.csr_array((scaled, indices, indptr), shape=(n, n))
-    return ElementGraph(adjacency, laplacian)
+    return ElementGraph(sp.csr_array((scaled, indices, indptr), shape=(n, n)))
 
 
 def normalize_centroids(mesh: StructuredMesh) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
-from .meshgraph import ElementGraph
+from .meshgraph import ElementGraph, is_integer
 
 
 @dataclass
@@ -50,9 +50,9 @@ class NetworkConfig:
             raise ValueError("need at least input and output widths")
         if self.layer_widths[-1] != 1:
             raise ValueError("output width must be 1 (scalar density head)")
-        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.layer_widths):
+        if not all(is_integer(w) and w >= 1 for w in self.layer_widths):
             raise ValueError(f"layer widths must be integers >= 1, got {self.layer_widths}")
-        if not (isinstance(self.cheb_order, (int, np.integer)) and self.cheb_order >= 0):
+        if not (is_integer(self.cheb_order) and self.cheb_order >= 0):
             raise ValueError(f"cheb_order must be an integer >= 0, got {self.cheb_order!r}")
 
 

@@ -79,6 +79,8 @@ class LossSpec:
     :func:`composite_loss`) with multiplier stress_multiplier: it vanishes
     while g and the multiplier are both at or below zero. The two-sided
     variant squares the raw expression and ignores the multiplier.
+    sigma_allow is not read here (the stress argument arrives already
+    normalized); the acceptance gate's criterion 1 passes it.
     """
 
     volume_weight: float
@@ -147,17 +149,16 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
 
 @dataclass
 class ConvergenceRecord:
-    """Per-iteration history; one row per completed iteration."""
+    """Per-iteration history; row i is iteration i + 1, since the loop
+    appends every completed iteration in order and stops at a failure."""
 
-    iterations: list = field(default_factory=list)
     compliance: list = field(default_factory=list)
     volfrac: list = field(default_factory=list)
     sigma_pn: list = field(default_factory=list)
     loss: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
 
-    def append(self, it, c, vf, pn, loss_val, dt):
-        self.iterations.append(int(it))
+    def append(self, c, vf, pn, loss_val, dt):
         self.compliance.append(float(c))
         self.volfrac.append(float(vf))
         self.sigma_pn.append(float(pn))
@@ -165,23 +166,14 @@ class ConvergenceRecord:
         self.seconds.append(float(dt))
 
     def __len__(self):
-        return len(self.iterations)
+        return len(self.compliance)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("iter,compliance,volfrac,sigma_pn,loss,seconds\n")
-            for row in zip(
-                self.iterations,
-                self.compliance,
-                self.volfrac,
-                self.sigma_pn,
-                self.loss,
-                self.seconds,
-            ):
-                fh.write(
-                    f"{row[0]},{row[1]:.10e},{row[2]:.10e},{row[3]:.10e},"
-                    f"{row[4]:.10e},{row[5]:.6f}\n"
-                )
+            rows = zip(self.compliance, self.volfrac, self.sigma_pn, self.loss, self.seconds)
+            for it, (c, vf, pn, loss, dt) in enumerate(rows, start=1):
+                fh.write(f"{it},{c:.10e},{vf:.10e},{pn:.10e},{loss:.10e},{dt:.6f}\n")
 
 
 @dataclass
@@ -378,7 +370,7 @@ def run_optimization(case) -> OptimizationResult:
                 0.0, spec.stress_multiplier + 2.0 * spec.stress_weight * float(excess.value)
             )
 
-        record.append(it, c.value, vf, pn.value, loss.value, time.perf_counter() - t0)
+        record.append(c.value, vf, pn.value, loss.value, time.perf_counter() - t0)
         if ranks_best:
             best = (rank, it, np.array(rho.value), np.array(b.value), weights)
 

@@ -290,7 +290,6 @@ def test_density_field_helpers():
     field = DensityField.from_flat(np.linspace(0, 1, 6), 3, 2)
     assert field.nelx == 3 and field.nely == 2
     assert field.kind == "printed"
-    assert np.isclose(field.volume_fraction(), 0.5)
     with pytest.raises(ValueError):
         DensityField(np.ones(4))
 

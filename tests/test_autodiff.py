@@ -103,8 +103,8 @@ def test_release_frees_the_solve_factor_before_earlier_nodes_run(monkeypatch):
     factors = []
     factorize = fea.SimpAssembler.factorize
 
-    def factorize_and_watch(assembler, rho):
-        factor = factorize(assembler, rho)
+    def factorize_and_watch(assembler):
+        factor = factorize(assembler)
         factors.append(weakref.ref(factor))
         return factor
 

@@ -323,8 +323,15 @@ def test_compare_tiny_mesh_table(tmp_path):
     assert "mean" in text
     comparison.to_csv(tmp_path / "cmp.csv")
     lines = (tmp_path / "cmp.csv").read_text().splitlines()
-    assert lines[0] == "seed,condition,compliance,error"
+    assert lines[0] == (
+        "seed,condition,compliance,volfrac,sigma_pn,best_iteration,best_feasible,error"
+    )
     assert len(lines) == 4  # one seed x three conditions
+    # each run's numbers as their repr, so two grids can be diffed bit for bit
+    for line, (label, _f, _s) in zip(lines[1:], cli.CONDITIONS):
+        r = comparison.results[(label, 0)]
+        assert line == (f"0,{label},{r.final_compliance!r},{r.final_volfrac!r},"
+                        f"{r.final_sigma_pn!r},{r.best_iteration},{r.best_feasible},")
 
 
 def test_compare_returns_the_runs_and_writes_their_artifacts(tmp_path):
@@ -349,19 +356,30 @@ def test_compare_returns_the_runs_and_writes_their_artifacts(tmp_path):
         assert len(list(run_dir.iterdir())) == 7
 
 
-def test_comparison_marks_failed_rows():
-    def ran(compliance):
-        return SimpleNamespace(final_compliance=compliance)
+def test_comparison_marks_failed_rows(tmp_path):
+    import csv
 
+    def ran(compliance):
+        return SimpleNamespace(final_compliance=compliance, final_volfrac=0.5,
+                               final_sigma_pn=-0.1, best_iteration=3, best_feasible=True)
+
+    # the density check's own message holds commas
+    error = "densities outside [0,1]: min -1.000e-03, max 1.000e+00"
     comp = cli.ComparisonResult(
         "simply_supported",
         [0],
         {("none", 0): ran(10.0), ("filter", 0): None, ("filter+stress", 0): ran(12.0)},
-        {("filter", 0): "solver failure"},
+        {("filter", 0): error},
     )
     assert comp.ordering_ok(0) is None
     text = comp.render()
     assert "failed" in text
+    comp.to_csv(tmp_path / "cmp.csv")
+    with open(tmp_path / "cmp.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [8] * 4
+    assert rows[2] == ["0", "filter", "", "", "", "", "", error]
+    assert rows[1] == ["0", "none", "10.0", "0.5", "-0.1", "3", "True", ""]
 
 
 @pytest.mark.parametrize("seeds", ["0,x", "", " , ", "0,,1", "1.5", "0,0", "-1"])
@@ -472,6 +490,31 @@ def test_benchmark_case_rejects_out_of_range_values(overrides):
         cli.preset("simply_supported", **overrides)
 
 
+@pytest.mark.parametrize(
+    "key, overrides",
+    [("nelx", dict(nelx=6.5)), ("nely", dict(nely=4.0)), ("iters", dict(iterations=2.5)),
+     ("seed", dict(seed=1.5)), ("nelx", dict(nelx=True)), ("fourier_m", dict(fourier_m=2.0))],
+)
+def test_benchmark_case_rejects_non_integer_sizes(key, overrides):
+    # a float size once reached compare as a TypeError, which it does not catch
+    case = {"nelx": 6, "nely": 4, "iterations": 2, **overrides}
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        cli.preset("tip_cantilever", **case)
+
+
+def test_benchmark_case_takes_numpy_integer_sizes(tmp_path):
+    case = cli.preset("tip_cantilever", nelx=np.int64(6), nely=np.int32(3), iterations=np.int64(2),
+                      seed=np.uint8(1), fourier_m=np.int16(4), hidden_widths=(np.int64(5),))
+    comparison = cli.compare_benchmark(case, [np.int64(0)], out_root=tmp_path)
+    assert comparison.errors == {}
+    assert len(comparison.results[("none", 0)].record) == 2
+    # each run's summary is written, with the sizes as JSON integers
+    for path in tmp_path.glob("*/summary.json"):
+        summary = json.loads(path.read_text())
+        assert (summary["nelx"], summary["nely"], summary["seed"]) == (6, 3, 0)
+    assert len(list(tmp_path.glob("*/summary.json"))) == 3
+
+
 # the method's constants: no config key or case field sets them
 CONSTANTS = {
     "learning_rate": 0.01,
@@ -509,8 +552,8 @@ def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
                       fourier_m=8, hidden_widths=(16,), load_scale=0.25, seed=1)
     result = tf.run_optimization(case)
     assert result.best_iteration < case.iterations
-    cli._write_artifacts(case, result, tmp_path, "run")
-    layers = nf.load_parameters(tmp_path / "run" / "weights.ckpt")
+    run_dir = cli._write_artifacts(case, result, tmp_path)["out_dir"]
+    layers = nf.load_parameters(Path(run_dir) / "weights.ckpt")
     mesh = tf.build_mesh(case.nelx, case.nely)
     features = fourier_encode(
         normalize_centroids(mesh), case.fourier_m, case.fourier_scale, opt.FOURIER_SEED
@@ -529,8 +572,8 @@ def test_checkpoint_round_trips_through_the_run_artifacts(tmp_path):
     case = cli.preset("tip_cantilever", nelx=6, nely=3, iterations=3,
                       fourier_m=4, hidden_widths=(5, 4))
     result = tf.run_optimization(case)
-    cli._write_artifacts(case, result, tmp_path, "run")
-    layers = nf.load_parameters(tmp_path / "run" / "weights.ckpt")
+    run_dir = cli._write_artifacts(case, result, tmp_path)["out_dir"]
+    layers = nf.load_parameters(Path(run_dir) / "weights.ckpt")
     saved = nf.parameter_arrays(result.parameters)
     loaded = nf.parameter_arrays(layers)
     assert [a.shape for a in loaded] == [a.shape for a in saved]

@@ -318,6 +318,9 @@ def test_solve_rejects_densities_outside_unit_interval(density):
     rho = t.leaf(np.full(mesh.n_elems, density))
     with pytest.raises(fea.DensityRangeError, match="outside"):
         tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
+    # the assembler checks the densities it is built for, once
+    with pytest.raises(fea.DensityRangeError, match="outside"):
+        fea.SimpAssembler(mesh, tf.MaterialModel(), fixed, rho.value)
 
 
 @pytest.mark.parametrize("penal", [2.5, 3.0])
@@ -367,10 +370,12 @@ def test_solve_leaves_no_reference_cycle():
 
 def _uniform_strain_stress(mesh, mat, exx, eyy, gxy, rho_val):
     """Stress field from a manufactured nodal displacement with uniform strain."""
-    coords = mesh.node_coords
+    # node n sits at grid column n % (nelx + 1) and row n // (nelx + 1)
+    iy, jx = np.divmod(np.arange(mesh.n_nodes), mesh.nelx + 1)
+    x, y = jx * mesh.elem_size, iy * mesh.elem_size
     u_nodal = np.zeros(mesh.n_dofs)
-    u_nodal[0::2] = exx * coords[:, 0] + gxy * coords[:, 1]
-    u_nodal[1::2] = eyy * coords[:, 1]
+    u_nodal[0::2] = exx * x + gxy * y
+    u_nodal[1::2] = eyy * y
     t = ad.Tape()
     u = t.leaf(u_nodal)
     rho = t.leaf(np.full(mesh.n_elems, rho_val))

@@ -44,6 +44,19 @@ def test_invalid_dimensions_rejected():
         build_mesh(3, -1)
 
 
+@pytest.mark.parametrize("nelx, nely", [(6.5, 4), (6, 4.0), (True, 2), (3, np.float64(2.0))])
+def test_non_integer_dimensions_rejected(nelx, nely):
+    # 6.5 x 4 once built a mesh of 26.0 elements and 28 rows of float DOFs
+    with pytest.raises(ValueError, match="positive integers"):
+        build_mesh(nelx, nely)
+
+
+def test_numpy_integer_dimensions_accepted():
+    mesh = build_mesh(np.int64(3), np.int32(2))
+    assert mesh.n_elems == 6 and mesh.dof_map.shape == (6, 8)
+    assert np.array_equal(mesh.dof_map, build_mesh(3, 2).dof_map)
+
+
 def test_dof_map_entries_unique_and_in_range():
     mesh = build_mesh(5, 4)
     for dofs in mesh.dof_map:
@@ -58,22 +71,26 @@ def test_centroids_strictly_inside_domain():
     assert np.all(c[:, 1] > 0) and np.all(c[:, 1] < 3)
 
 
+# the adjacency is the scaled Laplacian's pattern: every edge holds a
+# nonzero entry -1/sqrt(d_i d_j), so a row's stored length is its degree
+
+
 def test_graph_2x2_four_edges_degree_two():
     graph = build_element_graph(build_mesh(2, 2))
-    assert np.all(graph.adjacency.sum(axis=1) == 2)
-    assert graph.adjacency.sum() == 8  # 4 undirected edges
+    assert np.all(np.diff(graph.laplacian_scaled.indptr) == 2)
+    assert graph.laplacian_scaled.nnz == 8  # 4 undirected edges
 
 
 def test_graph_adjacency_symmetric_empty_diagonal():
     graph = build_element_graph(build_mesh(4, 3))
-    a = graph.adjacency.toarray()
+    a = graph.laplacian_scaled.toarray() != 0
     assert np.array_equal(a, a.T)
-    assert np.all(a.diagonal() == 0)
+    assert not a.diagonal().any()
 
 
 def test_graph_1x1_degenerate():
     graph = build_element_graph(build_mesh(1, 1))
-    assert graph.adjacency.toarray().sum() == 0
+    assert graph.laplacian_scaled.nnz == 0
     assert np.array_equal(graph.laplacian_scaled.toarray(), [[0.0]])
 
 
@@ -108,7 +125,7 @@ def test_scaled_laplacian_spectrum_spans_unit_interval():
         eigs = np.linalg.eigvalsh(lap)
         assert abs(eigs[0] + 1.0) <= 1e-12, (nelx, nely, eigs[0])
         assert abs(eigs[-1] - 1.0) <= 1e-12, (nelx, nely, eigs[-1])
-        adjacency = graph.adjacency.toarray()
+        adjacency = composed_graph(build_mesh(nelx, nely))[0].toarray()
         degree = adjacency.sum(axis=1)
         assert np.allclose(lap, -adjacency / np.sqrt(np.outer(degree, degree)), rtol=0, atol=1e-15)
 
@@ -126,7 +143,10 @@ def _assert_graph_matches_reference(nelx, nely):
     mesh = build_mesh(nelx, nely)
     graph = build_element_graph(mesh)
     adjacency, laplacian = composed_graph(mesh)
-    _assert_same_csr(graph.adjacency, adjacency)
+    # the Laplacian's pattern is the adjacency, and every stored entry is nonzero
+    assert np.array_equal(graph.laplacian_scaled.indptr, adjacency.indptr)
+    assert np.array_equal(graph.laplacian_scaled.indices, adjacency.indices)
+    assert np.all(graph.laplacian_scaled.data != 0)
     _assert_same_csr(graph.laplacian_scaled, laplacian)
 
 
@@ -164,7 +184,6 @@ def test_scaled_laplacian_equals_its_transpose_any_size(nelx, nely):
 def test_rebuild_determinism():
     a = build_element_graph(build_mesh(6, 3))
     b = build_element_graph(build_mesh(6, 3))
-    assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
     assert np.array_equal(a.laplacian_scaled.toarray(), b.laplacian_scaled.toarray())
 
 

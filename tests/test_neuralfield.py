@@ -19,7 +19,7 @@ from conftest import clamp_straight_through, composed_blueprint, rel_err, reshap
 
 def _zero_laplacian_graph(n):
     zero = sp.csr_array(sp.coo_array((n, n)))
-    return ElementGraph(zero, zero)
+    return ElementGraph(zero)
 
 
 def _one_layer_blueprint(features, graph, weights, bias):
@@ -362,6 +362,16 @@ def test_network_config_validation():
             nf.NetworkConfig((4, width, 1))
     with pytest.raises(ValueError, match="integer >= 0"):
         nf.NetworkConfig((4, 4, 1), cheb_order=1.5)
+
+
+def test_network_config_refuses_bools_and_takes_numpy_integers():
+    # a bool is an int to Python, but no width or order is meant by one
+    with pytest.raises(ValueError, match="integers >= 1"):
+        nf.NetworkConfig((4, True, 1))
+    with pytest.raises(ValueError, match="integer >= 0"):
+        nf.NetworkConfig((4, 4, 1), cheb_order=True)
+    config = nf.NetworkConfig((np.int64(4), np.int32(3), 1), cheb_order=np.int64(2))
+    assert [w.shape for w in nf.init_parameters(config)[0].weights] == [(4, 3)] * 3
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

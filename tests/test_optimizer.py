@@ -300,14 +300,15 @@ def test_record_csv_deterministic_for_fixed_seed(tmp_path):
 
 def test_convergence_record_roundtrip(tmp_path):
     rec = opt.ConvergenceRecord()
-    rec.append(1, 10.0, 0.5, -0.1, 2.0, 0.01)
-    rec.append(2, 9.0, 0.49, -0.05, 1.9, 0.011)
+    rec.append(10.0, 0.5, -0.1, 2.0, 0.01)
+    rec.append(9.0, 0.49, -0.05, 1.9, 0.011)
     path = tmp_path / "conv.csv"
     rec.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,compliance,volfrac,sigma_pn,loss,seconds"
     assert len(lines) == 3
     assert lines[1].startswith("1,1.0000000000e+01,5.0000000000e-01,")
+    assert lines[2].startswith("2,9.0000000000e+00,4.9000000000e-01,")
 
 
 @pytest.mark.parametrize(
@@ -317,7 +318,7 @@ def test_convergence_record_roundtrip(tmp_path):
         tf.fea.DensityRangeError("densities outside [0,1]: min -1e-3, max 1"),
     ],
 )
-def test_run_optimization_keeps_partial_result_on_failure(monkeypatch, error):
+def test_run_optimization_keeps_partial_result_on_failure(monkeypatch, error, tmp_path):
     # a failure after the continuation ends the run with the best iterate so
     # far and the reason, instead of discarding the history
     calls = {"n": 0}
@@ -335,6 +336,10 @@ def test_run_optimization_keeps_partial_result_on_failure(monkeypatch, error):
     assert res.abort_reason == str(error)
     assert len(res.record) == 29
     assert res.best_iteration <= 29
+    # the record numbers its rows itself: they are the completed iterations
+    res.record.to_csv(tmp_path / "conv.csv")
+    rows = (tmp_path / "conv.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(i) for i in range(1, 30)]
 
 
 def test_run_optimization_keeps_iterations_before_final_exponent(monkeypatch):
