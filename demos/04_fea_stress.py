@@ -24,7 +24,7 @@ print(f"energy identity |f.u - u.K.u| / C = "
       f"{abs(float(c.value) - ufree @ (system.K @ ufree)) / float(c.value):.2e}")
 
 stress = centroid_stress(u, rho, mesh, mat)
-vm = stress.von_mises.value
+vm = stress.value
 print(f"von Mises range: [{vm.min():.4f}, {vm.max():.4f}]")
 
 agg = StressAggregate(sigma_allow=float(vm.max()), exponent=8.0)

@@ -315,24 +315,15 @@ def matmul(a, b) -> DiffValue:
     A constant left operand may be a scipy sparse matrix (used for the
     scaled Laplacian); differentiable operands are dense.
     """
-    tape = _tape_of(a, b)
     av = a if not isinstance(a, DiffValue) and hasattr(a, "tocsr") else _raw(a)
     bv = _raw(b)
     if av.ndim != 2 or bv.ndim not in (1, 2):
         raise ValueError("matmul requires matrix@vector or matrix@matrix")
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
-    val = av @ bv
-    inputs, vjps = [], []
-    if isinstance(a, DiffValue):
-        inputs.append(a.nid)
-        vjps.append(lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T)
-    if isinstance(b, DiffValue):
-        inputs.append(b.nid)
-        vjps.append(lambda g: av.T @ g)
-
-    def vjp(g):
-        return tuple(fn(g) for fn in vjps)
-
-    return tape._record(val, tuple(inputs), vjp)
+    return _binary(
+        a, b, av @ bv,
+        lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T,
+        lambda g: av.T @ g,
+    )
 

@@ -276,6 +276,8 @@ def _write_artifacts(case: BenchmarkCase, result: OptimizationResult, out_root) 
     while run_dir.exists():
         counter += 1
         run_dir = out_root / f"{stem}.{counter}"
+    summary = _summary(case, result, run_dir)
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     run_dir.mkdir(parents=True, exist_ok=True)
 
     result.record.to_csv(run_dir / "convergence.csv")
@@ -284,10 +286,7 @@ def _write_artifacts(case: BenchmarkCase, result: OptimizationResult, out_root) 
     export_density(result.printed, "vtk", run_dir / "density.vtk", case.elem_size)
     export_density(result.blueprint, "csv", run_dir / "blueprint.csv")
     save_parameters(run_dir / "weights.ckpt", result.parameters)
-    summary = _summary(case, result, run_dir)
-    with open(run_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    (run_dir / "summary.json").write_text(text)
     return summary
 
 
@@ -302,11 +301,12 @@ def _summary(case: BenchmarkCase, result: OptimizationResult, run_dir: Path) -> 
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "case": case.name,
         "condition": _condition_label(case),
-        "nelx": int(case.nelx),  # a numpy integer is legal, but not JSON
+        # a numpy scalar is legal, but not JSON
+        "nelx": int(case.nelx),
         "nely": int(case.nely),
-        "volume_fraction_target": case.volume_fraction,
-        "sigma_allow": case.sigma_allow,
-        "load_scale": case.load_scale,
+        "volume_fraction_target": float(case.volume_fraction),
+        "sigma_allow": float(case.sigma_allow),
+        "load_scale": float(case.load_scale),
         "seed": int(case.seed),
         "iterations": len(result.record),
         "best_iteration": result.best_iteration,

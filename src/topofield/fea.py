@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import autodiff as ad
 from .autodiff import DiffValue, SolverFailureError
-from .meshgraph import StructuredMesh
+from .meshgraph import StructuredMesh, is_integer
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -289,22 +289,10 @@ def compliance(u: DiffValue, f: np.ndarray) -> DiffValue:
     return ad.total(u * np.asarray(f, dtype=float))
 
 
-@dataclass
-class StressField:
-    """Centroid stresses: unit-modulus components and sqrt(E)-scaled von Mises."""
-
-    sxx: DiffValue
-    syy: DiffValue
-    sxy: DiffValue
-    von_mises_unit: DiffValue
-    von_mises: DiffValue
-    modulus: DiffValue
-
-
 def centroid_stress(
     u: DiffValue, rho: DiffValue, mesh: StructuredMesh, mat: MaterialModel
-) -> StressField:
-    """Per-element centroid stress with stiffness-consistent scaling.
+) -> DiffValue:
+    """Per-element centroid von Mises stress with stiffness-consistent scaling.
 
     Components come from the unit-modulus constitutive matrix applied to the
     element displacements; the von Mises scalar is then scaled by sqrt(E_e)
@@ -317,9 +305,7 @@ def centroid_stress(
     sxy = ad.matmul(ue, sm[2])
     vm_sq = sxx * sxx + syy * syy - sxx * syy + 3.0 * (sxy * sxy)
     vm_unit = ad.sqrt(vm_sq)
-    e_mod = simp_modulus(rho, mat)
-    vm = vm_unit * ad.sqrt(e_mod)
-    return StressField(sxx, syy, sxy, vm_unit, vm, e_mod)
+    return vm_unit * ad.sqrt(simp_modulus(rho, mat))
 
 
 @dataclass(frozen=True)
@@ -339,8 +325,8 @@ class StressAggregate:
             raise ValueError("sigma_allow must be positive and finite")
         if not 2 <= self.exponent < np.inf:
             raise ValueError("aggregation exponent must be finite and >= 2")
-        if not all(0 <= e < np.inf and int(e) == e for e in self.excluded):
-            raise ValueError("excluded elements must be non-negative indices")
+        if not all(is_integer(e) and e >= 0 for e in self.excluded):
+            raise ValueError("excluded elements must be non-negative integer indices")
 
     def covered(self, n_elems: int) -> np.ndarray:
         """Indices of the elements the aggregate runs over; an excluded index
@@ -375,8 +361,9 @@ def point_support_elements(mesh: StructuredMesh, fixed_dofs) -> tuple:
     return tuple(int(e) for e in np.flatnonzero(touches))
 
 
-def p_norm_stress(stress: StressField, agg: StressAggregate) -> DiffValue:
-    """sigma_PN = ((1/N) sum_e (vm_e / sigma_allow)^p)^(1/p) - 1.
+def p_norm_stress(stress: DiffValue, agg: StressAggregate) -> DiffValue:
+    """sigma_PN = ((1/N) sum_e (vm_e / sigma_allow)^p)^(1/p) - 1 of the
+    von Mises stresses ``stress`` from :func:`centroid_stress`.
 
     The sum and N run over the covered elements, every element except
     ``agg.excluded``. This is a p-mean, not a peak measure: on the 60 x 20
@@ -387,8 +374,8 @@ def p_norm_stress(stress: StressField, agg: StressAggregate) -> DiffValue:
     sum cannot overflow on degenerate intermediate designs; the p-norm is
     1-homogeneous, so the factoring changes neither value nor gradient.
     """
-    covered = agg.covered(stress.von_mises.value.shape[0])
-    vm = ad.gather(stress.von_mises, covered)
+    covered = agg.covered(stress.value.shape[0])
+    vm = ad.gather(stress, covered)
     n = covered.size
     peak = float(vm.value.max()) / agg.sigma_allow
     if peak == 0.0:

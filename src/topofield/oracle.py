@@ -14,7 +14,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .amfilter import FilterParams, FilterSweep
-from .fea import SimpAssembler, StressAggregate, StressField, constitutive_unit, strain_displacement
+from .autodiff import DiffValue
+from .fea import SimpAssembler, StressAggregate, constitutive_unit, strain_displacement
 
 
 def filter_adjoint_state(
@@ -80,22 +81,27 @@ def compliance_density_gradient(system: SimpAssembler) -> np.ndarray:
 
 
 def stress_adjoint_gradient(
-    system: SimpAssembler, stress: StressField, agg: StressAggregate, mat
+    system: SimpAssembler, stress: DiffValue, agg: StressAggregate, mat
 ) -> np.ndarray:
     """d(sigma_PN)/d(rho) via the adjoint equation of the aggregated stress.
 
     Chains the p-norm derivative through the per-element von Mises stresses,
     solves K lam = -(d sigma_PN/d u)^T once, and adds the direct modulus
-    pathway from the sqrt(E) scaling. Like the aggregate, the sum runs over
-    the covered elements only (``agg.excluded`` contributes nothing), and
-    elements with a von Mises stress below 1e-12 are skipped (their ratio
-    cannot influence the aggregate).
+    pathway from the sqrt(E) scaling. Of ``stress`` it reads only the values
+    it aggregates and derives the rest from ``system``. Like the aggregate,
+    the sum runs over the covered elements only (``agg.excluded``
+    contributes nothing), and elements with a von Mises stress below 1e-12
+    are skipped (their ratio cannot influence the aggregate).
     """
     u, rho = system.u, system.rho
     n = rho.shape[0]
-    vm = stress.von_mises.value
-    vm0 = stress.von_mises_unit.value
-    e_mod = stress.modulus.value
+    vm = stress.value
+    dof_map = system.mesh.dof_map
+    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, system.mesh.elem_size)
+    ue = u[dof_map]
+    sxx, syy, sxy = ue @ sm[0], ue @ sm[1], ue @ sm[2]
+    vm0 = np.sqrt(sxx * sxx + syy * syy - sxx * syy + 3.0 * (sxy * sxy))
+    e_mod = mat.modulus(rho)
     covered = agg.covered(n)
     ratios = np.zeros(n)
     ratios[covered] = vm[covered] / agg.sigma_allow
@@ -109,15 +115,12 @@ def stress_adjoint_gradient(
         / agg.sigma_allow
     )
 
-    sxx, syy, sxy = stress.sxx.value, stress.syy.value, stress.sxy.value
     active = vm0 > 1e-12
     dvm0 = np.zeros((n, 3))
     dvm0[active, 0] = (2.0 * sxx[active] - syy[active]) / (2.0 * vm0[active])
     dvm0[active, 1] = (2.0 * syy[active] - sxx[active]) / (2.0 * vm0[active])
     dvm0[active, 2] = 6.0 * sxy[active] / (2.0 * vm0[active])
 
-    dof_map = system.mesh.dof_map
-    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, system.mesh.elem_size)
     dvm_du = np.sqrt(e_mod)[:, None] * (dvm0 @ sm)
 
     rhs = np.zeros(system.u.shape[0])
@@ -126,7 +129,6 @@ def stress_adjoint_gradient(
     lam[system.free_dofs] = splu(system.K).solve(rhs[system.free_dofs])
 
     de = mat.modulus_derivative(rho)
-    ue = u[dof_map]
     le = lam[dof_map]
     term_state = de * np.einsum("ej,jk,ek->e", le, system.ke0, ue)
     term_direct = np.where(active, coeff * vm0 / (2.0 * np.sqrt(e_mod)) * de, 0.0)

@@ -265,6 +265,9 @@ def test_matmul_dimension_mismatch():
     # only matrix@vector and matrix@matrix are products on the tape
     with pytest.raises(ValueError):
         ad.matmul(np.ones(3), t.leaf(np.eye(3)))
+    # a product of two constants is not recorded
+    with pytest.raises(TypeError):
+        ad.matmul(np.eye(3), np.ones(3))
 
 
 def test_tape_values_do_not_divide():

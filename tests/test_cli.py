@@ -303,6 +303,27 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert not any((tmp_path / "kept").iterdir())
 
 
+def _float32_case():
+    # a numpy float is a legal load scale, which json cannot encode as it is
+    return cli.preset("tip_cantilever", nelx=6, nely=3, iterations=2, fourier_m=4,
+                      hidden_widths=(5,), load_scale=np.float32(2.0))
+
+
+def test_run_with_numpy_float_settings_writes_a_whole_directory(tmp_path):
+    summary = cli.run_case(_float32_case(), tmp_path)
+    (run_dir,) = tmp_path.iterdir()
+    assert len(list(run_dir.iterdir())) == 7
+    assert json.loads((run_dir / "summary.json").read_text()) == summary
+    assert summary["load_scale"] == 2.0
+
+
+def test_unserializable_summary_leaves_no_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_summary", lambda case, result, run_dir: {"x": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.run_case(_float32_case(), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _tiny_compare_case():
     return cli.preset(
         "simply_supported",

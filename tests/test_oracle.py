@@ -186,6 +186,19 @@ def test_stress_adjoint_matches_tape(rng):
         assert np.linalg.norm(g_tape - g_adj) <= 1e-8 * (np.linalg.norm(g_tape) + 1e-12)
 
 
+def test_stress_adjoint_reads_only_the_von_mises_values(rng):
+    # a fresh leaf on its own tape holding the checked route's von Mises
+    # values gives the same gradient: the oracle takes nothing else from it
+    _m, mat, _fx, _f, agg, _t, _rho, system, stress, _pn = _stress_setup(
+        4, 3, rng.uniform(0.2, 1.0, 12), excluded=(0, 5)
+    )
+    copied = ad.Tape().leaf(stress.value.copy())
+    assert np.array_equal(
+        oracle.stress_adjoint_gradient(system, copied, agg, mat),
+        oracle.stress_adjoint_gradient(system, stress, agg, mat),
+    )
+
+
 def test_stress_adjoint_zero_stress_returns_zeros():
     nelx, nely = 2, 2
     mesh, fixed, _f = cantilever_problem(nelx, nely)
