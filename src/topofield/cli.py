@@ -44,24 +44,19 @@ def _parse_bool(text: str) -> bool:
 
 
 class Setting(NamedTuple):
-    """A settable value: its config key, the BenchmarkCase field it sets, the
-    parser of its text, its legal range (a predicate that NaN fails, and the
-    rule in words) and whether the key, with - for _, is also a flag."""
+    """A settable value: its config key, which with - for _ is also its flag,
+    the BenchmarkCase field it sets, the parser of its text and its legal
+    range (a predicate that NaN fails, and the rule in words)."""
 
     key: str
     field: str
     parse: Callable[[str], object]
     legal: Callable[[object], bool]
     rule: str
-    flag: bool = False
 
 
 def _positive(x) -> bool:
     return 0.0 < x < math.inf
-
-
-def _at_least(lo):
-    return lambda x: lo <= x < math.inf
 
 
 def _integer_from(lo):
@@ -69,16 +64,15 @@ def _integer_from(lo):
 
 
 SETTINGS = (
-    Setting("nelx", "nelx", int, _integer_from(1), "an integer, at least 1", flag=True),
-    Setting("nely", "nely", int, _integer_from(1), "an integer, at least 1", flag=True),
-    Setting("volfrac", "volume_fraction", float, lambda v: 0.0 < v < 1.0, "in (0, 1)", flag=True),
-    Setting("filter", "filter_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
-    Setting("stress", "stress_on", _parse_bool, lambda b: b in (True, False), "on or off", flag=True),
-    Setting("sigma_allow", "sigma_allow", float, _positive, "positive and finite", flag=True),
-    Setting("iters", "iterations", int, _integer_from(1), "an integer, at least 1", flag=True),
-    Setting("seed", "seed", int, _integer_from(0), "an integer, at least 0", flag=True),
-    Setting("load_scale", "load_scale", float, _positive, "positive and finite", flag=True),
-    Setting("alpha_max", "alpha_max", float, _at_least(0.0), "non-negative and finite"),
+    Setting("nelx", "nelx", int, _integer_from(1), "an integer, at least 1"),
+    Setting("nely", "nely", int, _integer_from(1), "an integer, at least 1"),
+    Setting("volfrac", "volume_fraction", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    Setting("filter", "filter_on", _parse_bool, lambda b: b in (True, False), "on or off"),
+    Setting("stress", "stress_on", _parse_bool, lambda b: b in (True, False), "on or off"),
+    Setting("sigma_allow", "sigma_allow", float, _positive, "positive and finite"),
+    Setting("iters", "iterations", int, _integer_from(1), "an integer, at least 1"),
+    Setting("seed", "seed", int, _integer_from(0), "an integer, at least 0"),
+    Setting("load_scale", "load_scale", float, _positive, "positive and finite"),
     Setting("fourier_m", "fourier_m", int, _integer_from(1), "an integer, at least 1"),
 )
 
@@ -102,7 +96,6 @@ class BenchmarkCase:
     sigma_allow: float = 2.3
     iterations: int = 600
     seed: int = 0
-    alpha_max: float = 100.0
     fourier_m: int = 64
     hidden_widths: tuple = (64, 64)
     # the same for every case
@@ -115,6 +108,7 @@ class BenchmarkCase:
     filter_epsilon: ClassVar[float] = FilterParams.epsilon
     filter_sharpness: ClassVar[float] = FilterParams.sharpness
     learning_rate: ClassVar[float] = AdamState.learning_rate
+    alpha_max: ClassVar[float] = 100.0
     gamma_max: ClassVar[float] = 50.0
     ramp_fraction: ClassVar[float] = 0.15
     fourier_scale: ClassVar[float] = 1.5
@@ -185,9 +179,11 @@ def _parse_case(text: str) -> str:
 # the rows' keys, and the two no row holds: the preset's name and the
 # directory that receives the run directories
 CONFIG_KEYS = {"case": _parse_case, **{s.key: s.parse for s in SETTINGS}, "out_dir": str}
+# compare sets the seed and both switches itself, from --seeds and CONDITIONS
+COMPARE_KEYS = {k: v for k, v in CONFIG_KEYS.items() if k not in ("seed", "filter", "stress")}
 
 
-def load_config(path) -> dict:
+def load_config(path, keys=CONFIG_KEYS) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     values = {}
     text = Path(path).read_text()
@@ -198,12 +194,12 @@ def load_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](val)
+            values[key] = keys[key](val)
         except (ValueError, argparse.ArgumentTypeError) as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {err}") from err
     return values
@@ -314,6 +310,8 @@ def _summary(case: BenchmarkCase, result: OptimizationResult, run_dir: Path) -> 
         "final_compliance": result.final_compliance,
         "final_volfrac": result.final_volfrac,
         "final_sigma_pn": result.final_sigma_pn,
+        "last_compliance": result.record.compliance[-1],
+        "last_volfrac": result.record.volfrac[-1],
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
         "wall_time_seconds": result.wall_time,
@@ -401,22 +399,22 @@ def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonRe
 # argument parsing
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _add_common_flags(parser: argparse.ArgumentParser, keys=CONFIG_KEYS) -> argparse.ArgumentParser:
     parser.add_argument("--case", choices=BENCHMARK_NAMES)
     parser.add_argument("--config", type=str, help="key = value configuration file")
     for setting in SETTINGS:
-        if setting.flag:
+        if setting.key in keys:
             flag = "--" + setting.key.replace("_", "-")
             parser.add_argument(flag, type=setting.parse, dest=setting.key, help=setting.rule)
     parser.add_argument("--out-dir", type=str, dest="out_dir")
+    parser.set_defaults(keys=keys)
     return parser
 
 
 def _case_from_args(args) -> tuple[BenchmarkCase, str]:
     """Config-file values, then the flags given on the command line over them."""
-    options = load_config(args.config) if args.config else {}
-    given = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    options.update({key: value for key, value in given.items() if value is not None})
+    options = load_config(args.config, args.keys) if args.config else {}
+    options.update({k: v for k, v in vars(args).items() if k in args.keys and v is not None})
     return case_from_options(options), options.get("out_dir", "runs")
 
 
@@ -427,8 +425,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common_flags(sub.add_parser("run", help="run one benchmark condition"))
-    cmp_p = _add_common_flags(sub.add_parser("compare", help="run all three conditions per seed"))
+    # no flag's prefix stands for it, so compare cannot read --seed as --seeds
+    _add_common_flags(sub.add_parser("run", help="run one benchmark condition", allow_abbrev=False))
+    cmp_p = sub.add_parser("compare", help="run all three conditions per seed", allow_abbrev=False)
+    _add_common_flags(cmp_p, COMPARE_KEYS)
     cmp_p.add_argument("--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seeds")
 
     args = parser.parse_args(argv)

@@ -436,6 +436,51 @@ def test_compare_parses_seeds_with_spaces_and_defaults_to_three(tmp_path, monkey
     assert seen == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
+@pytest.mark.parametrize("extra", [("--seed", "5"), ("--filter", "off"), ("--stress", "on")])
+def test_compare_takes_no_seed_filter_or_stress_flag(tmp_path, monkeypatch, capsys, extra):
+    # compare sets all three itself, per run; and since no flag's prefix
+    # stands for it, --seed is not read as --seeds either
+    def must_not_run(case):
+        raise AssertionError("compare ran")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["compare", "--case", "simply_supported", "--out-dir", str(out), *extra])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed = 4", "filter = off", "stress = on"])
+def test_compare_config_takes_no_seed_filter_or_stress(tmp_path, monkeypatch, capsys, line):
+    def must_not_run(case):
+        raise AssertionError("compare ran")
+
+    monkeypatch.setattr(cli, "run_optimization", must_not_run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = tip_cantilever\nnelx = 6\n{line}\n")
+    key = line.split()[0]
+    assert key in cli.load_config(cfg)  # a run takes it
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"c.cfg:3: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_flag_sets_fourier_m(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def record(case):
+        seen.append(case.fourier_m)
+        raise SolverFailureError("stub")
+
+    monkeypatch.setattr(cli, "run_optimization", record)
+    args = ["run", "--case", "tip_cantilever", "--fourier-m", "8", "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 3
+    assert seen == [8]
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -479,7 +524,6 @@ def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, co
         "learning_rate = nan",
         "ramp_fraction = -1",
         "gamma_max = -5",
-        "alpha_max = nan",
         "load_scale = 0",
         "load_scale = nan",
         "filter_epsilon = inf",
@@ -503,7 +547,7 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, caps
     "overrides",
     [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
      dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0),
-     dict(alpha_max=float("nan")), dict(load_scale=float("inf")), dict(nely=1),
+     dict(fourier_m=0), dict(load_scale=float("inf")), dict(nely=1),
      dict(hidden_widths=(-1,)), dict(hidden_widths=(2.5,)), dict(hidden_widths=(0,))],
 )
 def test_benchmark_case_rejects_out_of_range_values(overrides):
@@ -538,6 +582,7 @@ def test_benchmark_case_takes_numpy_integer_sizes(tmp_path):
 
 # the method's constants: no config key or case field sets them
 CONSTANTS = {
+    "alpha_max": 100.0,
     "learning_rate": 0.01,
     "gamma_max": 50.0,
     "ramp_fraction": 0.15,
@@ -587,6 +632,19 @@ def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
     assert np.array_equal(rebuilt.values, result.blueprint.values)
 
 
+def test_summary_states_the_last_iterate(tmp_path):
+    # the returned iterate is the best one; a run that ends elsewhere, such as
+    # one that collapses after it, shows that in its summary
+    case = cli.preset("simply_supported", nelx=12, nely=5, iterations=60,
+                      fourier_m=8, hidden_widths=(16,), load_scale=0.25, seed=1)
+    result = tf.run_optimization(case)
+    assert result.best_iteration < len(result.record)
+    summary = cli._write_artifacts(case, result, tmp_path)
+    assert summary["last_compliance"] == result.record.compliance[-1]
+    assert summary["last_volfrac"] == result.record.volfrac[-1]
+    assert summary["last_compliance"] != summary["final_compliance"]
+
+
 def test_checkpoint_round_trips_through_the_run_artifacts(tmp_path):
     from topofield import neuralfield as nf
 
@@ -615,7 +673,7 @@ def test_readme_documents_every_run_flag_and_config_key():
     }
     assert sorted(documented) == sorted(cli.CONFIG_KEYS)
     for setting in cli.SETTINGS:
-        flag = f"`--{setting.key.replace('_', '-')}`" if setting.flag else "—"
+        flag = f"`--{setting.key.replace('_', '-')}`"
         assert documented[setting.key] == (flag, f"`{setting.field}`", setting.rule), setting.key
     assert documented["case"][:2] == ("`--case`", "`name`")
     assert documented["out_dir"][0] == "`--out-dir`"
@@ -623,7 +681,7 @@ def test_readme_documents_every_run_flag_and_config_key():
     # its paragraph of constants states the value each one holds
     paragraph = readme.split("The method's constants", 1)[1].split("\n\n", 1)[0]
     stated = dict(re.findall(r"`(\w+) = ([^`]+)`", paragraph))
-    assert sorted(stated) == sorted([*CONSTANTS, "alpha_max"])
+    assert sorted(stated) == sorted(CONSTANTS)
     for name, text in stated.items():
         assert float(text) == getattr(cli.BenchmarkCase, name), name
 
@@ -637,11 +695,13 @@ def test_every_case_field_is_a_setting_or_set_from_python_only():
     # Python callers set
     fields = [f.name for f in dataclasses.fields(cli.BenchmarkCase)]
     rows = [setting.field for setting in cli.SETTINGS]
-    assert len(fields) == 13
+    assert len(fields) == 12
     assert len(set(rows)) == len(rows)
     assert set(rows) <= set(fields)
     assert sorted(rows + list(PYTHON_ONLY_FIELDS)) == sorted(fields)
     assert list(cli.CONFIG_KEYS) == ["case", *(setting.key for setting in cli.SETTINGS), "out_dir"]
+    # compare sets these three itself, per run
+    assert sorted(set(cli.CONFIG_KEYS) - set(cli.COMPARE_KEYS)) == ["filter", "seed", "stress"]
     # the random config files below draw every key but the output directory
     assert sorted(_LEGAL) == sorted(set(cli.CONFIG_KEYS) - {"out_dir"})
     case = cli.preset("simply_supported")
@@ -673,7 +733,6 @@ _LEGAL = {
     "iters": st.integers(1, 2),
     "seed": st.integers(0, 2**32),
     "load_scale": st.floats(0.01, 10.0),
-    "alpha_max": st.floats(0.0, 1000.0),
     "fourier_m": st.integers(1, 16),
 }
 

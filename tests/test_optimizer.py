@@ -209,7 +209,13 @@ def test_schedules():
     assert end.filter.sharpness == case.filter_sharpness
 
 
-def _tiny_case(**kw):
+class _HeavyVolumeCase(tf.BenchmarkCase):
+    # a stronger volume weight than the method's: a toy mesh equilibrates
+    # with a larger offset than the benchmark size
+    alpha_max = 400.0
+
+
+def _tiny_case(case_type=tf.BenchmarkCase, **kw):
     base = dict(
         nelx=10,
         nely=4,
@@ -220,7 +226,7 @@ def _tiny_case(**kw):
         seed=1,
     )
     base.update(kw)
-    return tf.preset("simply_supported", **base)
+    return case_type("simply_supported", **base)
 
 
 def test_run_optimization_smoke():
@@ -235,9 +241,7 @@ def test_run_optimization_smoke():
 
 
 def test_run_optimization_returns_best_feasible():
-    # stronger volume weight: the toy mesh equilibrates with a larger offset
-    # than the benchmark size
-    case = _tiny_case(iterations=240, alpha_max=400.0)
+    case = _tiny_case(_HeavyVolumeCase, iterations=240)
     res = tf.run_optimization(case)
     rec = res.record
     # candidates start once the continuation ramps have finished; iteration
@@ -259,21 +263,20 @@ def test_stress_limit_binds_only_when_reached():
         nelx=16,
         nely=6,
         iterations=300,
-        alpha_max=400.0,
         fourier_m=8,
         hidden_widths=(16,),
         seed=1,
     )
-    free = tf.run_optimization(tf.preset("tip_cantilever", sigma_allow=4.0, **base))
+    free = tf.run_optimization(_HeavyVolumeCase("tip_cantilever", sigma_allow=4.0, **base))
     # a limit the design stays below leaves the run bit-identical
     loose = tf.run_optimization(
-        tf.preset("tip_cantilever", sigma_allow=4.0, stress_on=True, **base)
+        _HeavyVolumeCase("tip_cantilever", sigma_allow=4.0, stress_on=True, **base)
     )
     assert loose.record.compliance == free.record.compliance
     assert loose.final_compliance == free.final_compliance
     # a limit the stress-free design exceeds is met: sigma_PN + 1 scales as
     # 1 / sigma_allow, so the free design reads about +0.19 at 2.5
-    tight = tf.preset("tip_cantilever", sigma_allow=2.5, stress_on=True, **base)
+    tight = _HeavyVolumeCase("tip_cantilever", sigma_allow=2.5, stress_on=True, **base)
     assert (free.final_sigma_pn + 1.0) * 4.0 / 2.5 - 1.0 > 0.1
     bound = tf.run_optimization(tight)
     assert bound.best_feasible
