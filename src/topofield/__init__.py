@@ -3,9 +3,9 @@ stress-constrained structures."""
 
 from . import amfilter, autodiff, cli, fea, meshgraph, neuralfield, optimizer, oracle
 from .amfilter import DensityField, FilterParams, apply_filter, apply_filter_exact
-from .autodiff import DiffValue, Gradients, NumericDomainError, SolverFailureError, Tape
+from .autodiff import DiffValue, Gradients, NumericDomainError, Tape
 from .cli import BenchmarkCase, compare_benchmark, export_density, preset, run_case
-from .fea import MaterialModel, StressAggregate, assemble_and_solve, compliance
+from .fea import MaterialModel, SolverFailureError, StressAggregate, assemble_and_solve, compliance
 from .meshgraph import build_element_graph, build_mesh, fourier_encode
 from .neuralfield import NetworkConfig, init_parameters, predict_blueprint
 from .optimizer import AdamState, ConvergenceRecord, LossSpec, run_optimization

@@ -114,7 +114,7 @@ def apply_filter(blueprint, nelx: int, nely: int, params: FilterParams):
     element i is smooth_min(b_i, smooth_max(support)) over its three supports
     in the printed layer below, with zero padding outside the domain. The
     output is clamped to [0, 1] (the surrogates can overshoot by
-    O(sqrt(epsilon))); a single-layer domain is returned unchanged.
+    O(sqrt(epsilon))).
 
     A DiffValue input records one tape operation. Its VJP walks the layers
     top-down, passing each layer's adjoint to the supports below it (the
@@ -129,8 +129,6 @@ def apply_filter(blueprint, nelx: int, nely: int, params: FilterParams):
     bv = blueprint.value if is_diff else np.asarray(blueprint, dtype=float)
     if bv.shape != (nelx * nely,):
         raise ValueError(f"expected flat field of length {nelx * nely}")
-    if nely == 1:
-        return blueprint if is_diff else bv
     node = len(blueprint.tape) if is_diff else None
     sweep = FilterSweep(bv.reshape(nely, nelx), params, node)
     out = np.clip(sweep.raw.ravel(), 0.0, 1.0)

@@ -22,8 +22,8 @@ import numpy as np
 
 
 class NumericDomainError(ArithmeticError):
-    """An operation was evaluated outside its numeric domain (sqrt or
-    fractional power of a negative, negative power of zero)."""
+    """An operation was evaluated outside its numeric domain (sqrt or fractional
+    power of a negative, negative power of zero) or gave a non-finite result."""
 
     def __init__(self, message: str, node: int | None = None):
         if node is not None:
@@ -32,30 +32,17 @@ class NumericDomainError(ArithmeticError):
         self.node = node
 
 
-class SolverFailureError(RuntimeError):
-    """The reduced stiffness matrix could not be factorized (singular or
-    indefinite)."""
-
-
 # a released node's VJP; None would mark it a leaf and pass for a zero gradient
 _RELEASED = object()
 
 
-class _Node:
-    __slots__ = ("inputs", "vjp")
-
-    def __init__(self, inputs, vjp):
-        self.inputs = inputs
-        self.vjp = vjp
-
-
 class Tape:
-    """Append-only record of operations; ids are topological by construction."""
+    """Append-only list of ``(input ids, vjp)`` nodes; ids are topological by construction."""
 
     __slots__ = ("_nodes",)
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple] = []
 
     def __len__(self):
         return len(self._nodes)
@@ -71,7 +58,7 @@ class Tape:
     def _record(self, value, inputs, vjp) -> "DiffValue":
         val = np.asarray(value, dtype=float)
         nid = len(self._nodes)
-        self._nodes.append(_Node(inputs, vjp))
+        self._nodes.append((inputs, vjp))
         return DiffValue(self, nid, val)
 
     def backward(self, out: "DiffValue", release: bool = False) -> "Gradients":
@@ -95,15 +82,15 @@ class Tape:
             g = adjoints.get(nid)
             if g is None:
                 continue
-            node = self._nodes[nid]
-            if node.vjp is None:
+            inputs, vjp = self._nodes[nid]
+            if vjp is None:
                 continue
-            if node.vjp is _RELEASED:
+            if vjp is _RELEASED:
                 raise RuntimeError(f"tape node {nid} was released by backward(release=True)")
-            g_inputs = node.vjp(g)
+            g_inputs = vjp(g)
             if release:
-                node.vjp = _RELEASED
-            for inp, gin in zip(node.inputs, g_inputs):
+                self._nodes[nid] = (inputs, _RELEASED)
+            for inp, gin in zip(inputs, g_inputs):
                 if gin is None:
                     continue
                 acc = adjoints.get(inp)

@@ -23,7 +23,6 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .amfilter import DensityField, FilterParams
-from .autodiff import SolverFailureError
 from .fea import MaterialModel, StressAggregate
 from .meshgraph import StructuredMesh, is_integer
 from .neuralfield import NetworkConfig, save_parameters
@@ -268,13 +267,17 @@ def _write_artifacts(case: BenchmarkCase, result: OptimizationResult, out_root) 
     named by time, case, condition and seed."""
     out_root = Path(out_root)
     stem = time.strftime("%Y%m%d-%H%M%S") + f"-{case.name}-{_condition_label(case)}-s{case.seed}"
+    # made atomically, so a run that starts alongside takes the next name
     run_dir, counter = out_root / stem, 0
-    while run_dir.exists():
-        counter += 1
-        run_dir = out_root / f"{stem}.{counter}"
-    summary = _summary(case, result, run_dir)
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    while True:
+        summary = _summary(case, result, run_dir)
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            run_dir.mkdir(parents=True)
+            break
+        except FileExistsError:
+            counter += 1
+            run_dir = out_root / f"{stem}.{counter}"
 
     result.record.to_csv(run_dir / "convergence.csv")
     export_density(result.printed, "pgm", run_dir / "density.pgm")
@@ -431,7 +434,9 @@ def main(argv=None) -> int:
     _add_common_flags(cmp_p, COMPARE_KEYS)
     cmp_p.add_argument("--seeds", type=_parse_seeds, default="0,1,2", help="comma-separated seeds")
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the usage of the subcommand that does not take them
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         case, out_dir = _case_from_args(args)
         # an output root that cannot be a directory fails here, before any run
@@ -445,10 +450,10 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             summary = run_case(case, out_root)
-        except SolverFailureError as err:
+        except RUN_FAILURES as err:
             for path in made:  # a failed run leaves no directory behind
                 path.rmdir()
-            print(f"solver failure: {err}", file=sys.stderr)
+            print(f"run failed: {err}", file=sys.stderr)
             return 3
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import autodiff as ad
-from .autodiff import DiffValue, SolverFailureError
+from .autodiff import DiffValue
 from .meshgraph import StructuredMesh, is_integer
 
 _GAUSS = 1.0 / np.sqrt(3.0)
@@ -88,6 +88,10 @@ def element_stiffness_unit(nu: float, elem_size: float = 1.0) -> np.ndarray:
             b = strain_displacement(xi, eta, elem_size)
             ke += b.T @ d0 @ b * detj
     return 0.5 * (ke + ke.T)
+
+
+class SolverFailureError(RuntimeError):
+    """The reduced stiffness could not be factorized (singular or indefinite)."""
 
 
 class DensityRangeError(ValueError):

@@ -20,10 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .amfilter import DensityField, FilterParams, apply_filter, apply_passive
-from .autodiff import NumericDomainError, SolverFailureError, Tape
+from .autodiff import NumericDomainError, Tape
 from .fea import (
     DensityRangeError,
     MaterialModel,
+    SolverFailureError,
     StressAggregate,
     assemble_and_solve,
     centroid_stress,
@@ -41,12 +42,8 @@ from .neuralfield import (
 )
 
 
-class NonFiniteGradientError(RuntimeError):
-    """A gradient turned non-finite; the iteration cannot be applied."""
-
-
-# failures that end a run early with a partial result instead of an exception
-RUN_FAILURES = (SolverFailureError, NonFiniteGradientError, NumericDomainError, DensityRangeError)
+# failures that end a run; after its first iteration, with a partial result
+RUN_FAILURES = (SolverFailureError, NumericDomainError, DensityRangeError)
 
 # iterations between stress-multiplier updates; updating every iteration lets
 # the multiplier outrun Adam and the design oscillates between solid and void
@@ -131,7 +128,7 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
     """In-place Adam update with bias correction."""
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(
+            raise NumericDomainError(
                 f"non-finite gradient in parameter {i}: "
                 f"max |g| = {np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else np.nan}"
             )
@@ -284,8 +281,9 @@ def run_optimization(case) -> OptimizationResult:
     stress stays within the bound at those updates follows the stress-free
     trajectory exactly; a run that reaches it settles onto it.
 
-    Solver, gradient and numeric-domain failures abort the run but keep the
-    history and fields gathered so far.
+    Solver, density-range and numeric-domain failures (a non-finite C,
+    sigma_PN or gradient among them) end the run with the history and fields
+    gathered so far, or are raised as they are if no iteration completed.
     """
     _steady_heap()
     mesh = build_mesh(case.nelx, case.nely, case.elem_size)
@@ -363,6 +361,8 @@ def run_optimization(case) -> OptimizationResult:
             leaf_list = parameter_arrays(leaves)
             adam_step(arrays, [grads.of(leaf) for leaf in leaf_list], adam)
         except RUN_FAILURES as err:
+            if best is None:
+                raise
             aborted, abort_reason = True, str(err)
             break
         if spec.stress_weight > 0.0 and it % MULTIPLIER_INTERVAL == 0:
@@ -374,10 +374,6 @@ def run_optimization(case) -> OptimizationResult:
         if ranks_best:
             best = (rank, it, np.array(rho.value), np.array(b.value), weights)
 
-    if best is None:
-        raise SolverFailureError(
-            f"optimization aborted before completing one iteration: {abort_reason}"
-        )
     (_early, infeasible, _violation, best_c), best_it, best_rho, best_b, best_layers = best
     idx = best_it - 1
     result = OptimizationResult(

@@ -114,6 +114,18 @@ def test_filter_single_layer_identity():
     assert np.array_equal(apply_filter(values, 3, 1, params), values)
 
 
+def test_single_layer_filter_records_one_identity_node():
+    # one layer takes the same clamp and tape op as any other field
+    t = ad.Tape()
+    values = np.array([0.2, 0.8, 0.5])
+    b = t.leaf(values)
+    out = apply_filter(b, 3, 1, FilterParams())
+    assert len(t) == 2
+    seed = np.array([1.5, -0.25, 3.0])
+    assert np.array_equal(out.value, values)
+    assert np.array_equal(t.backward((out * seed).sum()).of(b), seed)
+
+
 def test_floating_overhang_removed():
     params = FilterParams()
     grid = np.zeros((4, 9))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import topofield as tf
 from topofield import cli
 from topofield.amfilter import DensityField
-from topofield.autodiff import SolverFailureError
+from topofield.fea import SolverFailureError
 
 
 def test_presets_carry_benchmark_constants():
@@ -303,6 +303,17 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert not any((tmp_path / "kept").iterdir())
 
 
+def test_run_that_fails_before_its_first_iteration_exits_with_its_cause(tmp_path, capsys):
+    # the solve succeeds; the compliance of a 1e300 load overflows
+    args = ["run", "--case", "tip_cantilever", "--nelx", "6", "--nely", "3", "--iters", "2",
+            "--fourier-m", "4", "--load-scale", "1e300", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: compliance is not finite")
+    assert "solver" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _float32_case():
     # a numpy float is a legal load scale, which json cannot encode as it is
     return cli.preset("tip_cantilever", nelx=6, nely=3, iterations=2, fourier_m=4,
@@ -322,6 +333,28 @@ def test_unserializable_summary_leaves_no_directory(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli.run_case(_float32_case(), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_runs_started_together_never_share_a_directory(tmp_path, monkeypatch):
+    # another run of the same case, condition and seed, in the same second,
+    # makes the directory between this run's choice of name and its mkdir
+    real_mkdir, other = Path.mkdir, []
+
+    def racing_mkdir(path, *args, **kwargs):
+        if not other:
+            real_mkdir(path)
+            (path / "summary.json").write_text("{}\n")
+            other.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+    summary = cli.run_case(_float32_case(), tmp_path)
+    run_dir = Path(summary["out_dir"])
+    assert run_dir != other[0] and run_dir.parent == tmp_path
+    assert [p.name for p in other[0].iterdir()] == ["summary.json"]
+    assert (other[0] / "summary.json").read_text() == "{}\n"
+    assert len(list(run_dir.iterdir())) == 7
+    assert json.loads((run_dir / "summary.json").read_text()) == summary
 
 
 def _tiny_compare_case():
@@ -450,6 +483,17 @@ def test_compare_takes_no_seed_filter_or_stress_flag(tmp_path, monkeypatch, caps
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [("compare", "--seed"), ("run", "--seeds")])
+def test_flag_a_subcommand_does_not_take_is_reported_with_its_usage(tmp_path, capsys, command, extra):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--out-dir", str(tmp_path / "out"), extra, "5"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: topofield {command} ")
+    assert f"topofield {command}: error: unrecognized arguments: {extra} 5" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["seed = 4", "filter = off", "stress = on"])
@@ -769,7 +813,7 @@ def _reject_constant(name):
 @example("case = tip_cantilever\nnelx = 6\nnely = 3\niters = 2\nfourier_m = 4\nload_scale = 1e300\n")
 def test_random_config_files_run_or_exit_cleanly(text):
     # every config file ends in a summary, a usage error before any run
-    # directory, or a solver failure; none ends in a traceback
+    # directory, or a failed run; none ends in a traceback
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "random.cfg"
         cfg.write_text(text)
@@ -787,5 +831,5 @@ def test_random_config_files_run_or_exit_cleanly(text):
             assert not out.exists()
         else:
             assert code == 3, (code, stderr.getvalue())
-            assert stderr.getvalue().startswith("solver failure:")
+            assert stderr.getvalue().startswith("run failed:")
             assert not out.exists()

@@ -178,7 +178,7 @@ def test_adam_quadratic_converges():
 def test_adam_rejects_nonfinite_gradient():
     params = [np.zeros(2)]
     state = opt.AdamState.for_parameters(params)
-    with pytest.raises(opt.NonFiniteGradientError):
+    with pytest.raises(ad.NumericDomainError):
         opt.adam_step(params, [np.array([1.0, np.nan])], state)
 
 
@@ -319,6 +319,7 @@ def test_convergence_record_roundtrip(tmp_path):
     [
         ad.NumericDomainError("sqrt of a negative value", node=7),
         tf.fea.DensityRangeError("densities outside [0,1]: min -1e-3, max 1"),
+        tf.fea.SolverFailureError("reduced stiffness is singular; smallest pivot 0"),
     ],
 )
 def test_run_optimization_keeps_partial_result_on_failure(monkeypatch, error, tmp_path):
@@ -361,6 +362,47 @@ def test_run_optimization_keeps_iterations_before_final_exponent(monkeypatch):
     assert res.aborted
     assert len(res.record) == 4
     assert 1 <= res.best_iteration <= 4
+
+
+def test_each_run_failure_is_defined_where_it_is_raised():
+    assert opt.RUN_FAILURES == (
+        tf.fea.SolverFailureError, ad.NumericDomainError, tf.fea.DensityRangeError
+    )
+    assert tf.SolverFailureError is tf.fea.SolverFailureError
+    assert not hasattr(opt, "NonFiniteGradientError")
+    exceptions = [v for v in vars(ad).values() if isinstance(v, type) and issubclass(v, Exception)]
+    assert exceptions == [ad.NumericDomainError]
+
+
+def test_run_that_fails_before_its_first_iteration_raises_its_cause():
+    # the solve succeeds; the compliance of a 1e300 load overflows
+    case = tf.preset("tip_cantilever", nelx=6, nely=3, iterations=2, fourier_m=4,
+                     load_scale=1e300)
+    with pytest.raises(ad.NumericDomainError, match="compliance is not finite"):
+        tf.run_optimization(case)
+
+
+class _SlidingCase(tf.BenchmarkCase):
+    def build_problem(self, mesh):
+        # the left edge held in x only: the beam slides freely in y
+        fixed, f, passive = super().build_problem(mesh)
+        return fixed[fixed % 2 == 0], f, passive
+
+
+class _PinnedCase(tf.BenchmarkCase):
+    def build_problem(self, mesh):
+        # one node pinned: too few fixed DOFs to hold the beam
+        _fixed, f, passive = super().build_problem(mesh)
+        return np.array([0, 1]), f, passive
+
+
+@pytest.mark.parametrize(
+    "case_type, match", [(_SlidingCase, "singular"), (_PinnedCase, "under-constrained")]
+)
+def test_run_with_a_singular_stiffness_raises_solver_failure(case_type, match):
+    case = case_type("tip_cantilever", nelx=6, nely=3, iterations=2, fourier_m=4)
+    with pytest.raises(tf.SolverFailureError, match=match):
+        tf.run_optimization(case)
 
 
 def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):
