@@ -5,11 +5,11 @@ stresses, von Mises aggregation) are recorded as differentiable operations so
 a single backward pass yields design sensitivities. The free DOFs are
 numbered node by node along the grid's short side, which makes the reduced
 stiffness a band of half-width about 2 min(nelx, nely) + 5. The map from
-element-matrix entries to band slots is built once per mesh and support set
+element-matrix entries to band slots is built once per grid and support set
 (:class:`BandPattern`); each solve scatters the element stiffnesses into the
-band with one ``bincount`` and factors it by banded Cholesky. The solve is
-one tape operation whose VJP solves on the same factor and applies the SIMP
-density chain rule; its :class:`SimpAssembler` is returned for the oracles.
+band with one ``bincount`` and factors it by LAPACK's banded Cholesky. The
+solve is one tape operation whose VJP solves on the same factor and applies
+the SIMP chain rule; its :class:`SimpAssembler` is returned for the oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import autodiff as ad
 from .autodiff import DiffValue
@@ -161,18 +161,18 @@ class BandPattern:
         return cls(np.flatnonzero(free), order, kd, entries, slots)
 
 
-# one-slot memo (mesh, fixed-DOF bytes, pattern): a hit returns what a build
-# would, and holding the mesh keeps its id from passing to another mesh
+# one-slot memo ((nelx, nely, fixed-DOF bytes), pattern): a pattern reads
+# its mesh only through the grid size, so every mesh of one grid shares it
 _pattern_memo: tuple | None = None
 
 
 def band_pattern(mesh: StructuredMesh, fixed_dofs) -> BandPattern:
-    """The :class:`BandPattern` of this mesh and support set, built once."""
+    """The :class:`BandPattern` of this grid and support set, built once."""
     global _pattern_memo
-    key, memo = np.asarray(fixed_dofs, dtype=np.int64).tobytes(), _pattern_memo
-    if memo is None or memo[0] is not mesh or memo[1] != key:
-        memo = _pattern_memo = (mesh, key, BandPattern.build(mesh, fixed_dofs))
-    return memo[2]
+    key = (mesh.nelx, mesh.nely, np.asarray(fixed_dofs, dtype=np.int64).tobytes())
+    if _pattern_memo is None or _pattern_memo[0] != key:
+        _pattern_memo = (key, BandPattern.build(mesh, fixed_dofs))
+    return _pattern_memo[1]
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,11 @@ class SimpAssembler:
     def factorize(self) -> BandCholesky:
         if self.free_dofs.size == 0:
             raise SolverFailureError("no free DOFs to solve for")
-        band = self.assemble()
-        try:
-            chol = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-        except LinAlgError as err:
+        chol, info = dpbtrf(self.assemble(), lower=1, overwrite_ab=1)
+        if info > 0:
             raise SolverFailureError(
-                f"reduced stiffness is not positive definite: {err}"
-            ) from err
+                f"reduced stiffness is not positive definite: leading minor {info} is not"
+            )
         # Cholesky completes on a stiffness singular up to rounding (a free
         # rigid-body mode); its pivots diag(L)^2 then span more than 1e12
         pivots = chol[0] ** 2
@@ -237,7 +235,7 @@ class SimpAssembler:
     def solve(self, factor: BandCholesky, rhs_full: np.ndarray) -> np.ndarray:
         order = self.pattern.order
         out = np.zeros(self.mesh.n_dofs)
-        out[order] = cho_solve_banded((factor.band, True), rhs_full[order], check_finite=False)
+        out[order] = dpbtrs(factor.band, rhs_full[order], lower=1)[0]
         return out
 
     def density_vjp(self, u: np.ndarray, lam: np.ndarray) -> np.ndarray:

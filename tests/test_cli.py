@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -304,10 +305,15 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
 
 
 def test_run_that_fails_before_its_first_iteration_exits_with_its_cause(tmp_path, capsys):
-    # the solve succeeds; the compliance of a 1e300 load overflows
+    # the solve succeeds; the compliance of a 1e300 load overflows, and the
+    # loop names that cause with no numpy warning on the way
     args = ["run", "--case", "tip_cantilever", "--nelx", "6", "--nely", "3", "--iters", "2",
             "--fourier-m", "4", "--load-scale", "1e300", "--out-dir", str(tmp_path / "out")]
-    assert cli.main(args) == 3
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(args) == 3
+    assert np.geterr() == before
     err = capsys.readouterr().err
     assert err.startswith("run failed: compliance is not finite")
     assert "solver" not in err

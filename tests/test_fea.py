@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +349,32 @@ def test_support_set_is_checked_with_its_band_pattern():
     # duplicates count once
     with pytest.raises(fea.SolverFailureError, match="2 fixed DOFs"):
         fea.band_pattern(mesh, [0, 1, 1, 0])
+
+
+def test_meshes_of_one_grid_share_a_band_pattern():
+    # the pattern reads the mesh only through its grid size, and the cache
+    # holds no mesh, so a run's mesh is freed with the run
+    mesh, fixed, _f = cantilever_problem(6, 3)
+    pattern = fea.band_pattern(mesh, fixed)
+    assert fea.band_pattern(tf.build_mesh(6, 3), fixed) is pattern
+    assert fea.band_pattern(tf.build_mesh(6, 3, elem_size=2.0), fixed) is pattern
+    mesh_ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None
+    assert fea.band_pattern(tf.build_mesh(3, 6), fixed) is not pattern
+
+
+def test_indefinite_stiffness_names_its_leading_minor(monkeypatch):
+    # the factor and solves call LAPACK's banded Cholesky themselves
+    assert not {"cholesky_banded", "cho_solve_banded", "LinAlgError"} & set(vars(fea))
+    mesh, fixed, _f = cantilever_problem(4, 2)
+    assembler = fea.SimpAssembler(mesh, tf.MaterialModel(), fixed, np.ones(mesh.n_elems))
+    band = assembler.assemble()
+    band[0, 5] = -1.0
+    monkeypatch.setattr(assembler, "assemble", lambda: band)
+    with pytest.raises(fea.SolverFailureError, match="not positive definite: leading minor 6 "):
+        assembler.factorize()
 
 
 def test_solve_leaves_no_reference_cycle():

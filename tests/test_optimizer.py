@@ -423,6 +423,54 @@ def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):
     assert comparison.results[("filter", 0)] is not None
 
 
+def test_compare_builds_one_band_pattern_for_its_runs(monkeypatch):
+    # every run builds its own mesh; the pattern is keyed by grid and supports
+    from topofield import cli
+
+    builds = []
+    build = tf.fea.BandPattern.build.__func__
+
+    def counted(cls, mesh, fixed_dofs):
+        builds.append(mesh)
+        return build(cls, mesh, fixed_dofs)
+
+    monkeypatch.setattr(tf.fea, "_pattern_memo", None)
+    monkeypatch.setattr(tf.fea.BandPattern, "build", classmethod(counted))
+    case = tf.preset("tip_cantilever", nelx=6, nely=3, iterations=2, fourier_m=4)
+    comparison = cli.compare_benchmark(case, seeds=[0, 1])
+    assert not comparison.errors and len(comparison.results) == 6
+    assert len(builds) == 1
+
+
+def test_loop_pins_passive_elements_and_passes_the_stress_excess_on_every_case(monkeypatch):
+    # with no passive element the pin is the identity, and with the stress
+    # limit off gamma stays 0, so the excess adds no loss term: the loop that
+    # skipped both computed the same numbers
+    case = tf.preset("tip_cantilever", nelx=6, nely=3, iterations=4, fourier_m=4)
+    assert not case.stress_on and not case.build_problem(tf.build_mesh(6, 3))[2].any()
+    real_pin, real_loss = opt.apply_passive, opt.composite_loss
+    routes = []
+
+    def pin(b, mask):
+        routes.append("pin")
+        return real_pin(b, mask)
+
+    def loss(c, rho, excess, spec):
+        routes.append(excess is not None)
+        return real_loss(c, rho, excess, spec)
+
+    monkeypatch.setattr(opt, "apply_passive", pin)
+    monkeypatch.setattr(opt, "composite_loss", loss)
+    one_route = tf.run_optimization(case)
+    assert routes == ["pin", True] * case.iterations
+    monkeypatch.setattr(opt, "apply_passive", lambda b, mask: b)
+    monkeypatch.setattr(opt, "composite_loss", lambda c, rho, _g, spec: real_loss(c, rho, None, spec))
+    forked = tf.run_optimization(case)
+    for name in ("compliance", "volfrac", "sigma_pn", "loss"):
+        assert getattr(one_route.record, name) == getattr(forked.record, name), name
+    assert np.array_equal(one_route.printed.values, forked.printed.values)
+
+
 def test_consecutive_runs_hold_no_memory():
     # tracemalloc counts live Python allocations, numpy arrays included, so a
     # finished run's tape kept alive by a reference cycle, or a buffer cache
