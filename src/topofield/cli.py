@@ -123,6 +123,8 @@ class BenchmarkCase:
                 raise ValueError(f"{setting.key} must be {setting.rule}, got {value!r}")
         if self.name == "simply_supported" and self.nely < 2:
             raise ValueError("simply_supported needs nely >= 2: its bottom layer is passive")
+        if self.name == "simply_supported" and self.nelx < 2:
+            raise ValueError("simply_supported needs nelx >= 2: at nelx = 1 it loads only supports")
         NetworkConfig((2 * self.fourier_m, *self.hidden_widths, 1))  # checks the widths
 
     def build_problem(self, mesh: StructuredMesh):

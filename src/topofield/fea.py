@@ -14,6 +14,7 @@ the SIMP chain rule; its :class:`SimpAssembler` is returned for the oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,41 +54,45 @@ class MaterialModel:
         return self.penal * rho ** (self.penal - 1.0) * (self.E0 - self.Emin)
 
 
-def constitutive_unit(nu: float) -> np.ndarray:
-    """Plane-stress constitutive matrix for unit Young's modulus."""
-    return (1.0 / (1.0 - nu * nu)) * np.array(
-        [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
-    )
-
-
-def strain_displacement(xi: float, eta: float, elem_size: float = 1.0) -> np.ndarray:
-    """B matrix (3x8) of the bilinear quad at local coordinates (xi, eta)."""
-    dn_dx = 0.25 * _XI * (1.0 + eta * _ETA) * (2.0 / elem_size)
-    dn_dy = 0.25 * _ETA * (1.0 + xi * _XI) * (2.0 / elem_size)
-    b = np.zeros((3, 8))
-    b[0, 0::2] = dn_dx
-    b[1, 1::2] = dn_dy
-    b[2, 0::2] = dn_dy
-    b[2, 1::2] = dn_dx
-    return b
-
-
-def element_stiffness_unit(nu: float, elem_size: float = 1.0) -> np.ndarray:
-    """8x8 element stiffness for E = 1 by 2x2 Gauss quadrature.
-
-    Symmetric with exactly three rigid-body zero modes; independent of
-    elem_size for square elements (unit thickness).
+@functools.cache
+def element_matrices(nu: float, elem_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (8x8 stiffness by 2x2 Gauss quadrature, 3x8 map from nodal
+    displacements to centroid stress) of a square bilinear quad with E = 1,
+    built once per (nu, elem_size). The stiffness is symmetric with exactly
+    three rigid-body zero modes and independent of elem_size (unit thickness).
     """
     if not 0.0 < nu < 0.5:
         raise ValueError("need 0 < nu < 0.5")
-    d0 = constitutive_unit(nu)
+    d0 = (1.0 / (1.0 - nu * nu)) * np.array(
+        [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
+    )
+
+    def strain_displacement(xi, eta):
+        dn_dx = 0.25 * _XI * (1.0 + eta * _ETA) * (2.0 / elem_size)
+        dn_dy = 0.25 * _ETA * (1.0 + xi * _XI) * (2.0 / elem_size)
+        b = np.zeros((3, 8))
+        b[0, 0::2] = dn_dx
+        b[1, 1::2] = dn_dy
+        b[2, 0::2] = dn_dy
+        b[2, 1::2] = dn_dx
+        return b
+
     detj = elem_size * elem_size / 4.0
     ke = np.zeros((8, 8))
     for xi in (-_GAUSS, _GAUSS):
         for eta in (-_GAUSS, _GAUSS):
-            b = strain_displacement(xi, eta, elem_size)
+            b = strain_displacement(xi, eta)
             ke += b.T @ d0 @ b * detj
-    return 0.5 * (ke + ke.T)
+    ke = 0.5 * (ke + ke.T)
+    stress = d0 @ strain_displacement(0.0, 0.0)
+    for matrix in (ke, stress):
+        matrix.setflags(write=False)
+    return ke, stress
+
+
+def element_stiffness_unit(nu: float, elem_size: float = 1.0) -> np.ndarray:
+    """The read-only 8x8 element stiffness for E = 1 of :func:`element_matrices`."""
+    return element_matrices(nu, elem_size)[0]
 
 
 class SolverFailureError(RuntimeError):
@@ -300,7 +305,7 @@ def centroid_stress(
     element displacements; the von Mises scalar is then scaled by sqrt(E_e)
     so void elements do not attract spurious stress.
     """
-    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, mesh.elem_size)
+    sm = element_matrices(mat.nu, mesh.elem_size)[1]
     ue = ad.gather(u, mesh.dof_map)
     sxx = ad.matmul(ue, sm[0])
     syy = ad.matmul(ue, sm[1])

@@ -15,27 +15,23 @@ from scipy.sparse.linalg import splu
 
 from .amfilter import FilterParams, FilterSweep
 from .autodiff import DiffValue
-from .fea import SimpAssembler, StressAggregate, constitutive_unit, strain_displacement
+from .fea import SimpAssembler, StressAggregate, element_matrices
 
 
-def filter_adjoint_state(
+def filter_adjoint_gradient(
     blueprint: np.ndarray, g_rho: np.ndarray, params: FilterParams
-) -> list:
-    """Run the top-down multiplier recursion for the smooth filter and return
-    the multipliers, one row per layer from the base up.
+) -> np.ndarray:
+    """d(response)/d(blueprint) given d(response)/d(printed), per Lagrange
+    multipliers chosen to cancel the cross-layer Jacobians.
 
-    The top layer's multiplier equals the seeded sensitivity; every lower
-    layer adds the back-coupling through the support region of the layer
-    above. The recursion runs on the raw surrogate chain (the final [0,1]
-    clamp passes gradients straight through), so no masking is applied.
+    The multipliers run top-down from one forward sweep of the filter, with
+    rho = S(b, e) and e = s^(1/Q) per layer: the top layer's multiplier
+    equals the seeded sensitivity, and every lower layer adds the
+    back-coupling through the support region of the layer above. The
+    recursion runs on the raw surrogate chain (the final [0,1] clamp passes
+    gradients straight through), so no masking is applied. Each layer above
+    the base then scales its multiplier by d rho/d b.
     """
-    return _adjoint_recursion(blueprint, g_rho, params)[0]
-
-
-def _adjoint_recursion(blueprint, g_rho, params: FilterParams):
-    """The multipliers of :func:`filter_adjoint_state` and the partials
-    d rho/d b of the layers above the base, from one forward sweep of the
-    filter. Per layer, rho = S(b, e) with e = s^(1/Q)."""
     blueprint = np.asarray(blueprint, dtype=float)
     g_rho = np.asarray(g_rho, dtype=float)
     if blueprint.shape != g_rho.shape:
@@ -59,17 +55,8 @@ def _adjoint_recursion(blueprint, g_rho, params: FilterParams):
         with np.errstate(divide="ignore", invalid="ignore"):
             dpow = np.where(rho[k] > 0, p * rho[k] ** (p - 1.0), 0.0)
         lam[k] = g_rho[k] + spread * dpow
-    return lam, 0.5 * (1.0 - ratio)
-
-
-def filter_adjoint_gradient(
-    blueprint: np.ndarray, g_rho: np.ndarray, params: FilterParams
-) -> np.ndarray:
-    """d(response)/d(blueprint) given d(response)/d(printed), per Lagrange
-    multipliers chosen to cancel the cross-layer Jacobians."""
-    lam, ds_db = _adjoint_recursion(blueprint, g_rho, params)
     grad = np.array(lam)
-    grad[1:] *= ds_db
+    grad[1:] *= 0.5 * (1.0 - ratio)
     return grad
 
 
@@ -97,7 +84,7 @@ def stress_adjoint_gradient(
     n = rho.shape[0]
     vm = stress.value
     dof_map = system.mesh.dof_map
-    sm = constitutive_unit(mat.nu) @ strain_displacement(0.0, 0.0, system.mesh.elem_size)
+    sm = element_matrices(mat.nu, system.mesh.elem_size)[1]
     ue = u[dof_map]
     sxx, syy, sxy = ue @ sm[0], ue @ sm[1], ue @ sm[2]
     vm0 = np.sqrt(sxx * sxx + syy * syy - sxx * syy + 3.0 * (sxy * sxy))

@@ -546,6 +546,7 @@ def test_run_flag_sets_fourier_m(tmp_path, monkeypatch, capsys):
         ("run", ("--load-scale", "0")),
         ("run", ("--load-scale", "nan")),
         ("compare", ("--load-scale", "nan")),
+        ("run", ("--nelx", "1")),
     ],
 )
 def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, command, extra):
@@ -598,7 +599,8 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, monkeypatch, caps
     [dict(nelx=0), dict(nely=-3), dict(iterations=0), dict(seed=-1),
      dict(volume_fraction=0.0), dict(volume_fraction=float("nan")), dict(sigma_allow=0.0),
      dict(fourier_m=0), dict(load_scale=float("inf")), dict(nely=1),
-     dict(hidden_widths=(-1,)), dict(hidden_widths=(2.5,)), dict(hidden_widths=(0,))],
+     dict(hidden_widths=(-1,)), dict(hidden_widths=(2.5,)), dict(hidden_widths=(0,)),
+     dict(nelx=1)],
 )
 def test_benchmark_case_rejects_out_of_range_values(overrides):
     with pytest.raises(ValueError):

@@ -97,6 +97,19 @@ def test_unit_stiffness_size_independent():
     )
 
 
+def test_solves_share_one_read_only_element_stiffness():
+    mesh, fixed, f = cantilever_problem(3, 2)
+    t = ad.Tape()
+    _, s1 = tf.assemble_and_solve(t.leaf(np.full(6, 0.4)), mesh, tf.MaterialModel(penal=1.0), fixed, f)
+    _, s2 = tf.assemble_and_solve(t.leaf(np.full(6, 0.9)), mesh, tf.MaterialModel(penal=3.0), fixed, f)
+    assert s1.ke0 is s2.ke0
+    ke0, stress_map = fea.element_matrices(0.3, mesh.elem_size)
+    assert ke0 is s1.ke0
+    for matrix in (ke0, stress_map):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
 def test_stiffness_scales_linearly_with_modulus():
     t = ad.Tape()
     mat = tf.MaterialModel(penal=3.0)

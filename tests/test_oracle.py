@@ -66,16 +66,6 @@ def test_filter_adjoint_matches_tape(rng):
     assert np.linalg.norm(g_tape - g_adj) <= 1e-10 * (np.linalg.norm(g_tape) + 1e-12)
 
 
-def test_lambda_recursion_top_layer_seed():
-    params = tf.FilterParams()
-    rng = np.random.default_rng(2)
-    blueprint = rng.uniform(0.2, 0.8, (4, 3))
-    g_rho = rng.standard_normal((4, 3))
-    lam = oracle.filter_adjoint_state(blueprint, g_rho, params)
-    assert np.array_equal(lam[-1], g_rho[-1])
-    assert len(lam) == 4
-
-
 def test_filter_adjoint_matches_dense_jacobian_chain(rng):
     # build per-layer Jacobians explicitly and multiply the full chain
     params = tf.FilterParams()
