@@ -1,5 +1,6 @@
 """The spectral graph-convolution field: predict a blueprint from Fourier
-features, then round-trip the parameters through the checkpoint format."""
+features, then round-trip the parameters through the checkpoint format,
+which ``np.load`` reads by the arrays' names."""
 
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 
 from topofield import NetworkConfig, Tape, build_element_graph, build_mesh, init_parameters, predict_blueprint
 from topofield.meshgraph import fourier_encode, normalize_centroids
-from topofield.neuralfield import leaf_parameters, load_parameters, save_parameters
+from topofield.neuralfield import ChebLayerParams, leaf_parameters, save_parameters
 
 mesh = build_mesh(10, 5)
 graph = build_element_graph(mesh)
@@ -27,7 +28,9 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "weights.ckpt"
     save_parameters(path, layers)
     print(f"\ncheckpoint: {path.stat().st_size} bytes (numpy .npz archive)")
-    reloaded = load_parameters(path)
+    with np.load(path) as arrays:
+        reloaded = [ChebLayerParams([arrays[f"layer{i}.theta{k}"] for k in range(config.cheb_order + 1)],
+                                    arrays[f"layer{i}.bias"]) for i in range(len(layers))]
     same = all(
         np.array_equal(wa, wb)
         for la, lb in zip(layers, reloaded)

@@ -1,7 +1,7 @@
 """Differentiable graph-neural-field topology optimization for printable,
 stress-constrained structures."""
 
-from . import amfilter, autodiff, cli, fea, meshgraph, neuralfield, optimizer, oracle
+from . import amfilter, autodiff, cli, fea, meshgraph, neuralfield, optimizer
 from .amfilter import DensityField, FilterParams, apply_filter, apply_filter_exact
 from .autodiff import DiffValue, Gradients, NumericDomainError, Tape
 from .cli import BenchmarkCase, compare_benchmark, export_density, preset, run_case
@@ -20,7 +20,6 @@ __all__ = [
     "meshgraph",
     "neuralfield",
     "optimizer",
-    "oracle",
     "DensityField",
     "FilterParams",
     "apply_filter",

@@ -1,0 +1,8 @@
+"""``python -m topofield``: the ``topofield`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,6 @@ for bit.
 from __future__ import annotations
 
 import math
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,36 +246,3 @@ def save_parameters(path, layers: list[ChebLayerParams]) -> None:
         arrays[f"layer{i}.bias"] = layer.bias
     with open(path, "wb") as fh:  # np.savez would append .npz to a name
         np.savez(fh, **arrays)
-
-
-def load_parameters(path) -> list[ChebLayerParams]:
-    """Load a checkpoint written by :func:`save_parameters`; any file that
-    is not such an archive, or holds an array no layer reads, raises
-    ValueError."""
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("it holds a bare array")
-            arrays = {name: archive[name] for name in archive.files}
-        # a damaged zip directory can also send a seek astray (OSError), or
-        # name an unknown zip version (NotImplementedError) or flag an entry
-        # as encrypted (RuntimeError)
-        except (ValueError, EOFError, OSError, NotImplementedError, RuntimeError,
-                zipfile.BadZipFile) as err:
-            raise ValueError(f"{path}: not a topofield parameter checkpoint: {err}") from err
-    layers = []
-    i = 0
-    while f"layer{i}.bias" in arrays:
-        weights = []
-        k = 0
-        while f"layer{i}.theta{k}" in arrays:
-            weights.append(arrays.pop(f"layer{i}.theta{k}"))
-            k += 1
-        layers.append(ChebLayerParams(weights, arrays.pop(f"layer{i}.bias")))
-        i += 1
-    if not layers:
-        raise ValueError(f"{path}: checkpoint holds no layers")
-    if arrays:
-        raise ValueError(f"{path}: unread checkpoint arrays {', '.join(sorted(arrays))}")
-    return layers

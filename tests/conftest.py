@@ -27,6 +27,19 @@ def rng():
     return np.random.default_rng(0)
 
 
+def checkpoint_layers(path):
+    """The layers of a ``weights.ckpt``, read by ``np.load`` from its
+    documented names ``layer<i>.theta<k>`` and ``layer<i>.bias``; every
+    layer holds the same number of weight matrices."""
+    from topofield.neuralfield import ChebLayerParams
+
+    with np.load(path) as arrays:
+        depth = sum(name.endswith(".bias") for name in arrays.files)
+        count = len(arrays.files) // depth - 1
+        return [ChebLayerParams([arrays[f"layer{i}.theta{k}"] for k in range(count)],
+                                arrays[f"layer{i}.bias"]) for i in range(depth)]
+
+
 # tape ops that only the composed references below and their tests record
 def clamp_straight_through(x, lo, hi):
     """Clip the forward value but pass the adjoint through unchanged, as the

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -18,6 +21,8 @@ import topofield as tf
 from topofield import cli
 from topofield.amfilter import DensityField
 from topofield.fea import SolverFailureError
+
+from conftest import checkpoint_layers
 
 
 def test_presets_carry_benchmark_constants():
@@ -561,6 +566,18 @@ def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, co
     assert not out.exists()
 
 
+def test_python_dash_m_topofield_runs_the_command(tmp_path):
+    # the package's __main__ runs the command once; running the submodule
+    # `topofield.cli` instead makes runpy warn that the package imported it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "topofield", "run", "--nelx", "0"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -671,7 +688,7 @@ def test_checkpoint_holds_the_returned_iterates_network(tmp_path):
     result = tf.run_optimization(case)
     assert result.best_iteration < case.iterations
     run_dir = cli._write_artifacts(case, result, tmp_path)["out_dir"]
-    layers = nf.load_parameters(Path(run_dir) / "weights.ckpt")
+    layers = checkpoint_layers(Path(run_dir) / "weights.ckpt")
     mesh = tf.build_mesh(case.nelx, case.nely)
     features = fourier_encode(
         normalize_centroids(mesh), case.fourier_m, case.fourier_scale, opt.FOURIER_SEED
@@ -704,7 +721,7 @@ def test_checkpoint_round_trips_through_the_run_artifacts(tmp_path):
                       fourier_m=4, hidden_widths=(5, 4))
     result = tf.run_optimization(case)
     run_dir = cli._write_artifacts(case, result, tmp_path)["out_dir"]
-    layers = nf.load_parameters(Path(run_dir) / "weights.ckpt")
+    layers = checkpoint_layers(Path(run_dir) / "weights.ckpt")
     saved = nf.parameter_arrays(result.parameters)
     loaded = nf.parameter_arrays(layers)
     assert [a.shape for a in loaded] == [a.shape for a in saved]
