@@ -8,10 +8,10 @@ composite operation (the network, the overhang filter, the equilibrium solve)
 is recorded by the module that owns it, as one node with a hand-written VJP.
 
 A tape can be backpropagated as often as asked. A caller that backpropagates
-each pass once passes ``release=True``: each VJP closure, and the state it
-holds (a solve's factor, a filter's rows), is then dropped as soon as it has
-run, and a later ``backward`` that reaches a released node raises
-``RuntimeError`` until :meth:`Tape.reset`.
+each pass once passes ``release=True``: each VJP closure, the state it holds
+(a solve's factor, a filter's rows) and the adjoint it consumed are then
+dropped as soon as it has run, and a later ``backward`` that reaches a
+released node raises ``RuntimeError`` until :meth:`Tape.reset`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class NumericDomainError(ArithmeticError):
         self.node = node
 
 
-# a released node's VJP; None would mark it a leaf and pass for a zero gradient
+# a released node's VJP and adjoint; None would pass for a leaf or a zero
 _RELEASED = object()
 
 
@@ -66,10 +66,10 @@ class Tape:
 
         ``out`` must be scalar. Returns a :class:`Gradients` map. By default
         the tape is left intact, to backpropagate again or reset. With
-        ``release=True`` each node's VJP closure is dropped as soon as it has
-        run, freeing what it holds before the next node runs; the node keeps
-        its id, and a later ``backward`` that reaches it raises
-        ``RuntimeError`` naming it. Such a tape is backpropagated once.
+        ``release=True`` each node's VJP closure and adjoint are dropped once
+        the VJP has run; the node keeps its id, and a later ``backward`` that
+        reaches it, or ``Gradients.of`` on it, raises ``RuntimeError`` naming
+        it. Such a tape is backpropagated once.
         """
         if out.tape is not self:
             raise ValueError("output belongs to a different tape")
@@ -90,6 +90,7 @@ class Tape:
             g_inputs = vjp(g)
             if release:
                 self._nodes[nid] = (inputs, _RELEASED)
+                adjoints[nid] = _RELEASED
             for inp, gin in zip(inputs, g_inputs):
                 if gin is None:
                     continue
@@ -109,6 +110,8 @@ class Gradients:
         g = self._adjoints.get(x.nid)
         if g is None:
             return np.zeros_like(x.value)
+        if g is _RELEASED:
+            raise RuntimeError(f"the adjoint of tape node {x.nid} was released by backward")
         return np.broadcast_to(g, x.value.shape).astype(float, copy=True)
 
 

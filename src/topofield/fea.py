@@ -125,18 +125,18 @@ class BandPattern:
     Free DOFs are numbered node by node along the grid's short side (column
     by column when nely < nelx, row by row otherwise), so the half-bandwidth
     is about 2 min(nelx, nely) + 5. ``order[k]`` is the global DOF of band
-    row k. Entry ``entries[m]`` of the flattened (n_elems, 8, 8) element
-    matrices adds into ``slots[m]`` of the LAPACK lower band storage
-    ``ab[i - j, j] = K[i, j]`` of shape (kd + 1, n), flattened column by
-    column: that is the Fortran order LAPACK factors in place, so the band
-    is never copied. Entries in fixed rows or columns and above the diagonal
-    are dropped.
+    row k. ``PAIRS`` are the 36 entries (a, b), a >= b, of the exactly
+    symmetric element stiffness, one per unordered DOF pair. Element e's pair
+    m adds into ``slots[e, m]`` (C-contiguous int64) of the LAPACK lower band
+    storage ``ab[i - j, j] = K[i, j]`` of shape (kd + 1, n), flattened column
+    by column: the Fortran order LAPACK factors in place, so the band is never
+    copied. A pair on a fixed DOF adds into the spill slot (kd + 1) n instead.
     """
 
+    PAIRS = np.tril_indices(8)
     free_dofs: np.ndarray
     order: np.ndarray
     kd: int
-    entries: np.ndarray
     slots: np.ndarray
 
     @classmethod
@@ -157,13 +157,16 @@ class BandPattern:
         order = order[free[order]]
         rank = np.full(mesh.n_dofs, -1, dtype=np.int64)
         rank[order] = np.arange(order.size)
-        r = rank[mesh.dof_map]
-        rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
-        entries = np.flatnonzero((cols >= 0) & (rows >= cols))
-        offset = rows.ravel()[entries] - cols.ravel()[entries]
-        kd = int(offset.max(initial=0))
-        slots = cols.ravel()[entries] * (kd + 1) + offset
-        return cls(np.flatnonzero(free), order, kd, entries, slots)
+        # in place: the slots, kept for the run, reuse the first array made here
+        slots, offset = (np.take(rank[mesh.dof_map], i, axis=1) for i in cls.PAIRS)
+        cols = np.minimum(slots, offset)
+        np.maximum(slots, offset, out=offset)
+        offset -= cols
+        kd = int(offset.max(where=cols >= 0, initial=0))
+        np.multiply(cols, kd + 1, out=slots)
+        slots += offset
+        slots[cols < 0] = (kd + 1) * order.size
+        return cls(np.flatnonzero(free), order, kd, slots)
 
 
 # one-slot memo ((nelx, nely, fixed-DOF bytes), pattern): a pattern reads
@@ -215,10 +218,10 @@ class SimpAssembler:
     def assemble(self) -> np.ndarray:
         """Reduced stiffness in lower band storage, shape (kd + 1, n_free)."""
         p = self.pattern
-        e_mod = self.mat.modulus(self.rho)
-        vals = np.multiply.outer(e_mod, self.ke0.ravel()).ravel()[p.entries]
+        vals = np.multiply.outer(self.mat.modulus(self.rho), self.ke0[p.PAIRS])
         n_band = (p.kd + 1) * p.order.size
-        return np.bincount(p.slots, vals, minlength=n_band).reshape(-1, p.kd + 1).T
+        band = np.bincount(p.slots.ravel(), vals.ravel(), minlength=n_band + 1)[:n_band]
+        return band.reshape(-1, p.kd + 1).T
 
     def factorize(self) -> BandCholesky:
         if self.free_dofs.size == 0:

@@ -1,15 +1,15 @@
 """Chebyshev spectral graph-convolution field over the element graph.
 
 Each layer computes sum_k T_k(L_scaled) H W_k + bias without forming a
-polynomial matrix: it projects first, P_k = H W_k in one product, and sums
-T_k P_k by Clenshaw's recursion, so the Laplacian acts on the layer's output
-width, one column for the head. H is the feature matrix in the first layer
-and the previous layer's ReLU after it; the output head is a sigmoid that
+polynomial matrix: it projects first, P_k = H W_k one order at a time, and
+sums T_k P_k by Clenshaw's recursion, so the Laplacian acts on the layer's
+output width, one column for the head. H is the feature matrix in the first
+layer and the previous layer's ReLU after it; the head is a sigmoid that
 emits a blueprint density in (0, 1) per element.
 
 :func:`predict_blueprint` records the whole network as one tape operation
 with a hand-written VJP. A forward pass keeps only each layer's input and
-the sigmoid output, and no VJP temporary outlives its call. Values and
+the sigmoid output, and no VJP temporary outlives its last read. Values and
 weight gradients equal the network composed on the tape node by node bit
 for bit.
 """
@@ -78,30 +78,30 @@ def init_parameters(config: NetworkConfig, volume_target: float = 0.5) -> list[C
     return layers
 
 
-def _chebyshev_terms(lap, h: np.ndarray, order: int) -> list:
-    """[H, T_1 H, ..., T_K H] by the three-term recursion
-    T_1 H = L H, T_k H = 2 L T_{k-1} H - T_{k-2} H."""
-    terms = [h]
-    for k in range(1, order + 1):
-        term = lap @ terms[-1]
-        if k > 1:
-            term *= 2.0
-            term -= terms[-2]
-        terms.append(term)
-    return terms
+def _chebyshev_terms(lap, term: np.ndarray, order: int):
+    """Yield H = ``term``, T_1 H, ..., T_K H by the recursion T_1 H = L H,
+    T_k H = 2 L T_{k-1} H - T_{k-2} H, holding no term no later one reads."""
+    prev = None
+    for k in range(order + 1):
+        if k:
+            nxt = lap @ term
+            if k > 1:
+                nxt *= 2.0
+                nxt -= prev
+            prev, term = (term if k < order else None), nxt
+        yield term
 
 
-def _clenshaw(lap, projections: np.ndarray, count: int) -> np.ndarray:
-    """sum_k T_k(L) P_k over the ``count`` column blocks P_0, ..., P_K of
-    ``projections`` by Clenshaw's recursion: b_K = P_K,
+def _clenshaw(lap, h: np.ndarray, weights: list) -> np.ndarray:
+    """sum_k T_k(L) H W_k by Clenshaw's recursion over P_k = H W_k, each
+    formed by its own product when the recursion reads it: b_K = P_K,
     b_k = P_k + 2 L b_{k+1} - b_{k+2}, and the sum is b_0 = P_0 + L b_1 - b_2."""
-    blocks = np.hsplit(projections, count)
-    acc, prev = blocks[-1], None
-    for k in range(count - 2, -1, -1):
+    acc, prev = h @ weights[-1], None
+    for k in range(len(weights) - 2, -1, -1):
         nxt = lap @ acc
         if k > 0:
             nxt *= 2.0
-        nxt += blocks[k]
+        nxt += h @ weights[k]
         if prev is not None:
             nxt -= prev
         prev, acc = acc, nxt
@@ -190,10 +190,10 @@ class NetworkPass:
     """One forward pass of the network ``layers``, whose parameters are tape
     values, on the ``features`` of ``graph``'s elements.
 
-    Every layer projects its input H in one product P = H [W_0 ... W_K] and
-    sums T_k(L) P_k by Clenshaw's recursion. The pass keeps those inputs and
-    the sigmoid output, which its VJP reads; any number of passes can each
-    run their VJP, in any order and as often as asked.
+    Every layer sums T_k(L) P_k by Clenshaw's recursion, forming each block
+    P_k = H W_k of its input H when the recursion first reads it. The pass
+    keeps those inputs and the sigmoid output, which its VJP reads; any number
+    of passes can each run their VJP, in any order and as often as asked.
     """
 
     def __init__(self, features: np.ndarray, graph: ElementGraph, layers: list[ChebLayerParams]):
@@ -207,7 +207,7 @@ class NetworkPass:
             if index:
                 h = np.maximum(out, 0.0, out=out)
             self.inputs.append(h)
-            out = _clenshaw(self.lap, h @ np.concatenate(weights, axis=1), len(weights))
+            out = _clenshaw(self.lap, h, weights)
             out += bias
         # the head: a straight-through clamp of the logits, then the sigmoid
         self.value = ad.logistic(np.clip(out, -_LOGIT_BOUND, _LOGIT_BOUND))
@@ -218,21 +218,25 @@ class NetworkPass:
 
         L is symmetric entry for entry, so a layer's P_k has the adjoint
         T_k(L) G, G that of its pre-activation: dW_k = H^T T_k G, and
-        dH = sum_k T_k G W_k^T is one product of the stacked terms and
-        weights, as on the tape. The first layer's H is the features, whose
-        adjoint is not formed."""
+        dH = sum_k T_k G W_k^T is summed term by term in ascending k, as on
+        the tape. The first layer's H is the features, whose adjoint is not
+        formed."""
         val = self.value
         grad = np.asarray(g, dtype=float).reshape(val.shape) * val * (1.0 - val)
         adjoints = []
         for index in reversed(range(len(self.weights))):
             h, weights = self.inputs[index], self.weights[index]
-            stacked = np.concatenate(_chebyshev_terms(self.lap, grad, len(weights) - 1), axis=1)
-            layer = np.hsplit(h.T @ stacked, len(weights))
-            layer.append(grad.sum(axis=0))
-            adjoints[:0] = layer
+            layer, bias = [], grad.sum(axis=0)
+            # the recursion holds G from here on, and drops it once read
+            terms, grad = _chebyshev_terms(self.lap, grad, len(weights) - 1), None
+            for weight, term in zip(weights, terms):
+                layer.append(h.T @ term)
+                if index and grad is None:
+                    grad = term @ weight.T
+                elif index:
+                    grad += term @ weight.T
+            adjoints[:0] = [*layer, bias]
             if index:
-                grad = stacked @ np.concatenate(weights, axis=1).T
-                del stacked  # freed before the next layer stacks its own terms
                 grad *= h > 0.0  # ReLU's mask: H > 0 exactly where its input was
         return adjoints
 

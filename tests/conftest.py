@@ -64,18 +64,6 @@ def concat(parts, axis=0):
     return parts[0].tape._record(values, tuple(p.nid for p in parts), vjp)
 
 
-def columns(x, lo, hi):
-    """Columns lo:hi of a matrix; backward pads the adjoint with zeros."""
-    shape = x.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[:, lo:hi] = g
-        return (out,)
-
-    return x.tape._record(x.value[:, lo:hi], (x.nid,), vjp)
-
-
 def composed_filter(blueprint, nelx, nely, params):
     """The smooth filter sweep composed on the tape from the public
     surrogates, one node per elementwise step: the independent reference for
@@ -108,9 +96,10 @@ def composed_blueprint(features, graph, layers, tape):
     :func:`topofield.neuralfield.predict_blueprint`, which records the whole
     network as one tape node.
 
-    Every layer projects first, P = H [W_0 ... W_K] in one product, and sums
-    T_k P_k by Clenshaw's recursion b_k = P_k + 2 L b_{k+1} - b_{k+2}, ending
-    at b_0 = P_0 + L b_1 - b_2. H is the features in the first layer and the
+    Every layer projects first, P_k = H W_k by one product node per order,
+    and sums T_k P_k by Clenshaw's recursion b_k = P_k + 2 L b_{k+1} - b_{k+2},
+    ending at b_0 = P_0 + L b_1 - b_2; each P_k is recorded when the
+    recursion first reads it. H is the features in the first layer and the
     previous layer's ReLU after it."""
     from topofield import autodiff as ad
 
@@ -119,16 +108,13 @@ def composed_blueprint(features, graph, layers, tape):
     for index, layer in enumerate(layers):
         if index:
             h = ad.relu(out)
-        count = len(layer.weights)
-        p = ad.matmul(h, concat(layer.weights, axis=1))
-        width = p.value.shape[1] // count
-        blocks = [columns(p, k * width, (k + 1) * width) for k in range(count)]
-        acc, prev = blocks[-1], None
-        for k in range(count - 2, -1, -1):
+        weights = layer.weights
+        acc, prev = ad.matmul(h, weights[-1]), None
+        for k in range(len(weights) - 2, -1, -1):
             nxt = ad.matmul(lap, acc)
             if k > 0:
                 nxt = 2.0 * nxt
-            nxt = blocks[k] + nxt
+            nxt = ad.matmul(h, weights[k]) + nxt
             if prev is not None:
                 nxt = nxt - prev
             prev, acc = acc, nxt

@@ -141,6 +141,27 @@ def test_second_backward_on_a_released_tape_names_the_node():
     assert t.backward(x).of(x) == 1.0
 
 
+def test_released_backward_drops_every_adjoint_but_the_leaves():
+    # a released backward keeps no adjoint past the VJP that consumed it, so
+    # reading a non-leaf's names the node instead of passing for a zero
+    t = ad.Tape()
+    x = t.leaf(np.array([2.0, 3.0]))
+    w = t.leaf(4.0)
+    y = x * w
+    z = ad.total(y * y)
+    grads = t.backward(z, release=True)
+    for node in (y, z):
+        with pytest.raises(RuntimeError, match=f"tape node {node.nid} was released"):
+            grads.of(node)
+    assert np.array_equal(grads.of(x), [64.0, 96.0])
+    assert grads.of(w) == 104.0
+    # the default keeps them all
+    t.reset()
+    x = t.leaf(np.array([2.0, 3.0]))
+    y = x * 4.0
+    assert np.array_equal(t.backward(ad.total(y * y)).of(y), [16.0, 24.0])
+
+
 def test_released_tape_records_again_after_reset():
     t = ad.Tape()
     x = t.leaf(2.0)

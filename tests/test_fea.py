@@ -378,6 +378,49 @@ def test_meshes_of_one_grid_share_a_band_pattern():
     assert fea.band_pattern(tf.build_mesh(3, 6), fixed) is not pattern
 
 
+def _entry_scatter_band(assembler):
+    """The band scattered entry by entry from the full (n_elems, 8, 8)
+    element matrices, keeping each entry on or below the diagonal in free
+    rows and columns: the reference for the pair-indexed scatter."""
+    mesh, p = assembler.mesh, assembler.pattern
+    rank = np.full(mesh.n_dofs, -1, dtype=np.int64)
+    rank[p.order] = np.arange(p.order.size)
+    r = rank[mesh.dof_map]
+    rows, cols = np.broadcast_arrays(r[:, :, None], r[:, None, :])
+    entries = np.flatnonzero((cols >= 0) & (rows >= cols))
+    slots = cols.ravel()[entries] * (p.kd + 1) + rows.ravel()[entries] - cols.ravel()[entries]
+    e_mod = assembler.mat.modulus(assembler.rho)
+    vals = np.multiply.outer(e_mod, assembler.ke0.ravel()).ravel()[entries]
+    n_band = (p.kd + 1) * p.order.size
+    return np.bincount(slots, vals, minlength=n_band).reshape(-1, p.kd + 1).T
+
+
+@pytest.mark.parametrize("penal", [1.0, 3.0])
+@pytest.mark.parametrize("name, nelx, nely", [
+    ("simply_supported", 60, 20), ("tip_cantilever", 20, 60), ("tip_cantilever", 1, 5),
+    ("mid_cantilever", 7, 3),
+])
+def test_pair_scatter_equals_entry_scatter(name, nelx, nely, penal):
+    # one slot per element and unordered DOF pair sums each band entry over
+    # the same elements in the same ascending order as the scatter of every
+    # entry of the full element matrices, so the bands agree bit for bit
+    case = tf.preset(name, nelx=nelx, nely=nely)
+    mesh = tf.build_mesh(nelx, nely)
+    fixed, _f, _passive = case.build_problem(mesh)
+    rho = np.random.default_rng(nelx * nely).uniform(0.0, 1.0, mesh.n_elems)
+    assembler = fea.SimpAssembler(mesh, tf.MaterialModel(penal=penal), fixed, rho)
+    band = assembler.assemble()
+    assert np.array_equal(band, _entry_scatter_band(assembler))
+    # the pairs on a support land in the spill slot, which the band leaves out
+    p = assembler.pattern
+    assert p.slots.shape == (mesh.n_elems, 36) and p.slots.dtype == np.int64
+    assert p.slots.flags.c_contiguous  # bincount would copy a strided one
+    n_band = (p.kd + 1) * p.order.size
+    assert (p.slots == n_band).any()
+    assert band.shape == (p.kd + 1, p.order.size) and band.size == n_band
+    assert band.flags.f_contiguous
+
+
 def test_indefinite_stiffness_names_its_leading_minor(monkeypatch):
     # the factor and solves call LAPACK's banded Cholesky themselves
     assert not {"cholesky_banded", "cho_solve_banded", "LinAlgError"} & set(vars(fea))
