@@ -173,7 +173,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _parse_case(text: str) -> str:
     if text not in BENCHMARK_NAMES:
-        raise ValueError(f"expected one of {', '.join(BENCHMARK_NAMES)}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(BENCHMARK_NAMES)}, got {text!r}")
     return text
 
 
@@ -330,8 +330,8 @@ class ComparisonResult:
 
     case_name: str
     seeds: list
-    results: dict  # (condition, seed) -> OptimizationResult, or None if it failed
-    errors: dict  # (condition, seed) -> str
+    results: dict  # (condition, seed) -> OptimizationResult of each finished run
+    errors: dict  # (condition, seed) -> str of each failed run
 
     def _compliance(self, condition: str, seed: int) -> float | None:
         result = self.results.get((condition, seed))
@@ -381,22 +381,20 @@ class ComparisonResult:
 
 
 def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonResult:
-    """Run all three conditions per seed; failures mark the row and continue.
-
-    With ``out_root`` each run also writes its artifact set there.
-    """
+    """Run all three conditions per seed. One of ``RUN_FAILURES`` marks its
+    run's row and the sweep goes on; any other exception stops it. With
+    ``out_root`` each run also writes its artifact set there."""
     results, errors = {}, {}
     for seed in seeds:
         for label, filt, stress in CONDITIONS:
             run = dataclasses.replace(case, seed=seed, filter_on=filt, stress_on=stress)
             try:
-                result = run_optimization(run)
-                if out_root is not None:
-                    _write_artifacts(run, result, out_root)
-            except (RuntimeError, *RUN_FAILURES) as err:
-                result = None
+                results[(label, seed)] = result = run_optimization(run)
+            except RUN_FAILURES as err:
                 errors[(label, seed)] = str(err)
-            results[(label, seed)] = result
+                continue
+            if out_root is not None:
+                _write_artifacts(run, result, out_root)
     return ComparisonResult(case.name, list(seeds), results, errors)
 
 
@@ -405,13 +403,10 @@ def compare_benchmark(case: BenchmarkCase, seeds, out_root=None) -> ComparisonRe
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, keys=CONFIG_KEYS) -> argparse.ArgumentParser:
-    parser.add_argument("--case", choices=BENCHMARK_NAMES)
     parser.add_argument("--config", type=str, help="key = value configuration file")
-    for setting in SETTINGS:
-        if setting.key in keys:
-            flag = "--" + setting.key.replace("_", "-")
-            parser.add_argument(flag, type=setting.parse, dest=setting.key, help=setting.rule)
-    parser.add_argument("--out-dir", type=str, dest="out_dir")
+    rules = {"case": "one of " + ", ".join(BENCHMARK_NAMES), **{s.key: s.rule for s in SETTINGS}}
+    for key, parse in keys.items():  # each flag parses as its config key does
+        parser.add_argument("--" + key.replace("_", "-"), type=parse, dest=key, help=rules.get(key))
     parser.set_defaults(keys=keys)
     return parser
 
@@ -445,7 +440,7 @@ def main(argv=None) -> int:
         out_root = Path(out_dir)
         made = [path for path in (out_root, *out_root.parents) if not path.exists()]
         out_root.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # a ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

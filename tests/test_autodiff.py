@@ -359,6 +359,17 @@ def test_fractional_power_zero_gradient_defined():
     assert np.isclose(g[1], 0.25)
 
 
+def test_zeroth_power_backpropagates_zeros():
+    # x**0 is constant, also at zero, negative and subnormal bases, where
+    # x**(c - 1) is infinite or has no real value
+    t = ad.Tape()
+    x = t.leaf(np.array([0.0, -0.0, -2.5, 5e-324, -1e-310, 3.0]))
+    y = ad.power(x, 0.0)
+    assert np.array_equal(y.value, np.ones(6))
+    g = t.backward((y * np.arange(1.0, 7.0)).sum()).of(x)
+    assert np.array_equal(g, np.zeros(6))
+
+
 def test_composite_loss_gradient_fd_small():
     # full pipeline on a 2x2 problem: blueprint -> filter -> solve -> loss
     mesh, fixed, f = cantilever_problem(2, 2)

@@ -417,10 +417,22 @@ def test_compare_benchmark_survives_numeric_domain_error(monkeypatch):
 
     monkeypatch.setattr(cli, "run_optimization", flaky)
     comparison = cli.compare_benchmark(_tiny_case(iterations=25), seeds=[0])
-    assert comparison.results[("filter+stress", 0)] is None
+    assert ("filter+stress", 0) not in comparison.results
     assert "log of a non-positive value" in comparison.errors[("filter+stress", 0)]
     assert comparison.results[("none", 0)] is not None
     assert comparison.results[("filter", 0)] is not None
+
+
+def test_compare_benchmark_stops_on_an_error_that_is_not_a_run_failure(monkeypatch):
+    # only RUN_FAILURES mark a row; any other error is a fault, as in `run`
+    from topofield import cli
+
+    def broken(case):
+        raise RuntimeError("not a run failure")
+
+    monkeypatch.setattr(cli, "run_optimization", broken)
+    with pytest.raises(RuntimeError, match="not a run failure"):
+        cli.compare_benchmark(_tiny_case(iterations=2), seeds=[0])
 
 
 def test_compare_builds_one_band_pattern_for_its_runs(monkeypatch):
