@@ -26,7 +26,7 @@ from .amfilter import DensityField, FilterParams
 from .fea import MaterialModel, StressAggregate
 from .meshgraph import StructuredMesh, is_integer
 from .neuralfield import NetworkConfig, save_parameters
-from .optimizer import RUN_FAILURES, AdamState, OptimizationResult, run_optimization
+from .optimizer import RUN_FAILURES, OptimizationResult, run_optimization
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -106,7 +106,7 @@ class BenchmarkCase:
     stress_exponent: ClassVar[float] = StressAggregate.exponent
     filter_epsilon: ClassVar[float] = FilterParams.epsilon
     filter_sharpness: ClassVar[float] = FilterParams.sharpness
-    learning_rate: ClassVar[float] = AdamState.learning_rate
+    learning_rate: ClassVar[float] = 0.01
     alpha_max: ClassVar[float] = 100.0
     gamma_max: ClassVar[float] = 50.0
     ramp_fraction: ClassVar[float] = 0.15
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     comparison = compare_benchmark(case, args.seeds, out_root)
     print(comparison.render())
     comparison.to_csv(out_root / f"comparison-{case.name}.csv")
-    return 0
+    return 3 if comparison.errors else 0  # as run does for a run that failed
 
 
 if __name__ == "__main__":

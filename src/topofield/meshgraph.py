@@ -22,7 +22,6 @@ class StructuredMesh:
     ----------
     nelx, nely : element counts along the span and the print direction.
     elem_size : physical edge length of the (square) elements.
-    elem_centroids : (n_elems, 2) element centroid coordinates.
     dof_map : (n_elems, 8) global displacement DOF indices per element, node
         order counter-clockwise from the bottom-left corner.
     """
@@ -30,7 +29,6 @@ class StructuredMesh:
     nelx: int
     nely: int
     elem_size: float
-    elem_centroids: np.ndarray
     dof_map: np.ndarray
 
     @property
@@ -74,16 +72,14 @@ def build_mesh(nelx: int, nely: int, elem_size: float = 1.0) -> StructuredMesh:
         raise ValueError("elem_size must be positive and finite")
     h = float(elem_size)
 
-    ej, ei = np.meshgrid(np.arange(nelx), np.arange(nely))
-    ej, ei = ej.ravel(), ei.ravel()
-    elem_centroids = np.column_stack([(ej + 0.5) * h, (ei + 0.5) * h])
+    ei, ej = np.divmod(np.arange(nelx * nely), nelx)  # layer and column of each element
 
     # corner nodes counter-clockwise from the bottom-left one, as offsets from
     # it: bottom-left, bottom-right, top-right, top-left; x then y DOF of each
     corners = np.array([0, 1, nelx + 2, nelx + 1])
     dof_map = 2 * (ei * (nelx + 1) + ej)[:, None] + (2 * corners[:, None] + [0, 1]).ravel()
 
-    return StructuredMesh(nelx, nely, h, elem_centroids, dof_map)
+    return StructuredMesh(nelx, nely, h, dof_map)
 
 
 def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
@@ -111,8 +107,10 @@ def build_element_graph(mesh: StructuredMesh) -> ElementGraph:
 
 
 def normalize_centroids(mesh: StructuredMesh) -> np.ndarray:
-    """Map element centroids onto [0, 1]^2, each axis independently."""
-    return mesh.elem_centroids / (np.array([mesh.nelx, mesh.nely]) * mesh.elem_size)
+    """Element centroids mapped onto [0, 1]^2, each axis independently: the
+    element in layer i and column j (from 0) sits at ((j + 1/2)/nelx, (i + 1/2)/nely)."""
+    i, j = np.divmod(np.arange(mesh.n_elems), mesh.nelx)
+    return np.column_stack([(j + 0.5) / mesh.nelx, (i + 0.5) / mesh.nely])
 
 
 def fourier_encode(centroids: np.ndarray, m: int, scale: float, seed: int) -> np.ndarray:

@@ -100,7 +100,7 @@ def composite_loss(c, rho_printed, stress_pn, spec: LossSpec):
     loss = c * (1.0 / spec.compliance_scale)
     ratio = ad.total(rho_printed * spec.elem_volumes) * (1.0 / spec.volume_target)
     loss = loss + spec.volume_weight * ((ratio - 1.0) * (ratio - 1.0))
-    if stress_pn is not None and spec.stress_weight != 0.0:
+    if spec.stress_weight != 0.0:
         if spec.one_sided:
             active = ad.relu(stress_pn + spec.stress_multiplier / (2.0 * spec.stress_weight))
         else:
@@ -117,15 +117,14 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    learning_rate: float = 0.01
 
     @classmethod
     def for_parameters(cls, params: list) -> "AdamState":
         return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params: list, grads: list, state: AdamState) -> None:
-    """In-place Adam update with bias correction."""
+def adam_step(params: list, grads: list, state: AdamState, learning_rate: float) -> None:
+    """In-place Adam update with bias correction, at this step's learning rate."""
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NumericDomainError(
@@ -141,7 +140,7 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -188,9 +187,9 @@ class OptimizationResult:
     final_compliance: float
     final_volfrac: float
     final_sigma_pn: float
-    aborted: bool = False
-    abort_reason: str = ""
-    wall_time: float = 0.0
+    aborted: bool
+    abort_reason: str
+    wall_time: float
 
 
 class Schedule(NamedTuple):
@@ -324,7 +323,6 @@ def run_optimization(case) -> OptimizationResult:
         t0 = time.perf_counter()
         schedule = _schedule(it, case)
         spec.stress_weight = schedule.gamma
-        adam.learning_rate = schedule.learning_rate
         mat = MaterialModel(case.E0, case.Emin, case.nu, schedule.penal)
         tape.reset()
         leaves = leaf_parameters(tape, layers)
@@ -346,20 +344,19 @@ def run_optimization(case) -> OptimizationResult:
             vf = float(rho.value @ elem_vol) / elem_vol.sum()
             vol_gap = max(abs(vf - case.volume_fraction) - case.volume_feasible_tol, 0.0)
             pn_gap = max(float(excess.value), 0.0) if case.stress_on else 0.0
-            feasible = vol_gap == 0.0 and pn_gap == 0.0
             # lower ranks first: iterates at the final penalization before
             # all earlier ones (which count only for a run that stops before
-            # reaching it), then feasible ones, then smaller violation, then
-            # lower C; a feasible iterate's violation is 0, so feasible ones
-            # rank by C alone
-            rank = (schedule.penal != case.penal, not feasible, vol_gap + pn_gap, float(c.value))
+            # reaching it), then smaller violation, then lower C; a feasible
+            # iterate's violation is 0, so feasible ones come first and rank
+            # by C alone
+            rank = (schedule.penal != case.penal, vol_gap + pn_gap, float(c.value))
             # the weights that predicted this iterate, before the step moves them
             ranks_best = best is None or rank < best[0]
             weights = copy.deepcopy(layers) if ranks_best else None
             # one backward per tape: free the solve's factor before the network's VJP
             grads = tape.backward(loss, release=True)
             leaf_list = parameter_arrays(leaves)
-            adam_step(arrays, [grads.of(leaf) for leaf in leaf_list], adam)
+            adam_step(arrays, [grads.of(leaf) for leaf in leaf_list], adam, schedule.learning_rate)
         except RUN_FAILURES as err:
             if best is None:
                 raise
@@ -374,20 +371,19 @@ def run_optimization(case) -> OptimizationResult:
         if ranks_best:
             best = (rank, it, np.array(rho.value), np.array(b.value), weights)
 
-    (_early, infeasible, _violation, best_c), best_it, best_rho, best_b, best_layers = best
+    (_early, violation, _c), best_it, best_rho, best_b, best_layers = best
     idx = best_it - 1
-    result = OptimizationResult(
+    return OptimizationResult(
         printed=DensityField.from_flat(best_rho, case.nelx, case.nely, "printed"),
         blueprint=DensityField.from_flat(best_b, case.nelx, case.nely, "blueprint"),
         record=record,
         parameters=best_layers,
         best_iteration=best_it,
-        best_feasible=not infeasible,
-        final_compliance=float(best_c),
-        final_volfrac=float(record.volfrac[idx]),
-        final_sigma_pn=float(record.sigma_pn[idx]),
+        best_feasible=not violation,
+        final_compliance=record.compliance[idx],
+        final_volfrac=record.volfrac[idx],
+        final_sigma_pn=record.sigma_pn[idx],
         aborted=aborted,
         abort_reason=abort_reason,
+        wall_time=time.perf_counter() - start,
     )
-    result.wall_time = time.perf_counter() - start
-    return result

@@ -461,6 +461,30 @@ def test_comparison_marks_failed_rows(tmp_path):
     assert rows[1] == ["0", "none", "10.0", "0.5", "-0.1", "3", "True", ""]
 
 
+def test_compare_with_a_failed_run_exits_3_after_writing_its_results(tmp_path, monkeypatch, capsys):
+    import csv
+
+    real, error = cli.run_optimization, tf.NumericDomainError("log of a non-positive value")
+
+    def flaky(case):
+        if case.stress_on:
+            raise error
+        return real(case)
+
+    monkeypatch.setattr(cli, "run_optimization", flaky)
+    out = tmp_path / "out"
+    args = ["compare", "--case", "tip_cantilever", "--nelx", "6", "--nely", "3",
+            "--iters", "2", "--fourier-m", "4", "--seeds", "0", "--out-dir", str(out)]
+    assert cli.main(args) == 3
+    assert "failed" in capsys.readouterr().out
+    with open(out / "comparison-tip_cantilever.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[1] for row in rows] == ["none", "filter", "filter+stress"]
+    assert rows[2][2:] == ["", "", "", "", "", str(error)]
+    assert all(row[2] and not row[-1] for row in rows[:2])
+    assert len(list(out.glob("*/summary.json"))) == 2
+
+
 @pytest.mark.parametrize("seeds", ["0,x", "", " , ", "0,,1", "1.5", "0,0", "-1"])
 def test_compare_rejects_malformed_seeds_before_running(tmp_path, monkeypatch, capsys, seeds):
     def must_not_run(case):
@@ -485,12 +509,13 @@ def test_compare_parses_seeds_with_spaces_and_defaults_to_three(tmp_path, monkey
     monkeypatch.setattr(cli, "run_optimization", record)
     out = tmp_path / "out"
     args = ["compare", "--case", "simply_supported", "--out-dir", str(out)]
-    assert cli.main([*args, "--seeds", "3, 1"]) == 0
+    # every run fails, so compare exits 3 once it has written the CSV
+    assert cli.main([*args, "--seeds", "3, 1"]) == 3
     assert seen == [3, 3, 3, 1, 1, 1]
     lines = (out / "comparison-simply_supported.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["3"] * 3 + ["1"] * 3
     seen.clear()
-    assert cli.main(args) == 0
+    assert cli.main(args) == 3
     assert seen == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 

@@ -65,10 +65,10 @@ def test_dof_map_entries_unique_and_in_range():
 
 
 def test_centroids_strictly_inside_domain():
-    mesh = build_mesh(7, 3)
-    c = mesh.elem_centroids
-    assert np.all(c[:, 0] > 0) and np.all(c[:, 0] < 7)
-    assert np.all(c[:, 1] > 0) and np.all(c[:, 1] < 3)
+    # element e = 7 i + j, in layer i and column j, sits at ((j + 1/2)/7, (i + 1/2)/3)
+    c = normalize_centroids(build_mesh(7, 3))
+    assert np.all(c > 0) and np.all(c < 1)
+    assert c[7 * 2 + 4].tolist() == [4.5 / 7, 2.5 / 3]
 
 
 # the adjacency is the scaled Laplacian's pattern: every edge holds a

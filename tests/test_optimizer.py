@@ -29,7 +29,7 @@ def test_loss_reduces_to_scaled_compliance_on_target():
     c = t.leaf(15.0)
     rho = t.leaf(np.full(8, 0.5))  # volume = 4 = target
     spec = _spec()
-    loss = opt.composite_loss(c, rho, None, spec)
+    loss = opt.composite_loss(c, rho, t.leaf(0.0), spec)
     assert np.isclose(loss.value, 15.0 / 5.0, rtol=1e-15)
 
 
@@ -38,7 +38,7 @@ def test_loss_zero_density_volume_term():
     c = t.leaf(0.0)
     rho = t.leaf(np.zeros(8))
     spec = _spec(volume_weight=7.0)
-    loss = opt.composite_loss(c, rho, None, spec)
+    loss = opt.composite_loss(c, rho, t.leaf(0.0), spec)
     assert np.isclose(loss.value, 7.0)  # (0 - 1)^2 * alpha
 
 
@@ -79,7 +79,7 @@ def test_loss_nonnegative_and_penalty_free_gradient():
         rho = t.leaf(rho0)
         u, _ = tf.assemble_and_solve(rho, mesh, mat, fixed, f)
         c = tf.compliance(u, f)
-        loss = opt.composite_loss(c, rho, None, spec)
+        loss = opt.composite_loss(c, rho, t.leaf(0.0), spec)
         assert loss.value >= 0.0
         return t.backward(loss).of(rho)
 
@@ -150,7 +150,7 @@ def test_loss_gradient_matches_fd_through_network():
 def test_adam_zero_gradient_leaves_parameters():
     params = [np.array([1.0, -2.0])]
     state = opt.AdamState.for_parameters(params)
-    opt.adam_step(params, [np.zeros(2)], state)
+    opt.adam_step(params, [np.zeros(2)], state, 0.01)
     assert np.array_equal(params[0], np.array([1.0, -2.0]))
 
 
@@ -160,7 +160,7 @@ def test_adam_constant_gradient_step_approaches_lr():
     prev = params[0].copy()
     for _ in range(300):
         prev = params[0].copy()
-        opt.adam_step(params, [np.ones(1)], state)
+        opt.adam_step(params, [np.ones(1)], state, 0.01)
     assert np.isclose(abs(params[0][0] - prev[0]), 0.01, rtol=1e-3)
 
 
@@ -169,7 +169,7 @@ def test_adam_quadratic_converges():
     state = opt.AdamState.for_parameters(params)
     for _ in range(2000):
         grad = 2.0 * (params[0] - 3.0)
-        opt.adam_step(params, [grad], state)
+        opt.adam_step(params, [grad], state, 0.01)
         if abs(params[0][0] - 3.0) < 1e-3:
             break
     assert abs(params[0][0] - 3.0) < 1e-3
@@ -179,7 +179,7 @@ def test_adam_rejects_nonfinite_gradient():
     params = [np.zeros(2)]
     state = opt.AdamState.for_parameters(params)
     with pytest.raises(ad.NumericDomainError):
-        opt.adam_step(params, [np.array([1.0, np.nan])], state)
+        opt.adam_step(params, [np.array([1.0, np.nan])], state, 0.01)
 
 
 def test_schedules():
@@ -256,6 +256,29 @@ def test_run_optimization_returns_best_feasible():
     assert res.best_iteration - 1 in feasible
     best_c = min(rec.compliance[i] for i in feasible)
     assert np.isclose(res.final_compliance, best_c, rtol=1e-12)
+
+
+class _ExactVolumeCase(tf.BenchmarkCase):
+    # only the target volume fraction itself is feasible, and no iterate hits it
+    volume_feasible_tol = 0.0
+
+
+def test_run_with_no_feasible_iterate_returns_the_least_violating_one():
+    case = _tiny_case(_ExactVolumeCase)
+    res = tf.run_optimization(case)
+    rec = res.record
+    # among the iterates at the final penalization: smallest violation, then lowest C
+    first = int(round(opt.CONTINUATION_FRACTION * case.iterations)) - 1
+    least = min(
+        range(first, len(rec)),
+        key=lambda i: (abs(rec.volfrac[i] - case.volume_fraction), rec.compliance[i]),
+    )
+    assert rec.volfrac[least] != case.volume_fraction
+    assert res.best_feasible is False
+    assert res.best_iteration == least + 1
+    assert res.final_compliance == rec.compliance[least]
+    assert res.final_volfrac == rec.volfrac[least]
+    assert res.final_sigma_pn == rec.sigma_pn[least]
 
 
 def test_stress_limit_binds_only_when_reached():
@@ -456,8 +479,9 @@ def test_compare_builds_one_band_pattern_for_its_runs(monkeypatch):
 
 def test_loop_pins_passive_elements_and_passes_the_stress_excess_on_every_case(monkeypatch):
     # with no passive element the pin is the identity, and with the stress
-    # limit off gamma stays 0, so the excess adds no loss term: the loop that
-    # skipped both computed the same numbers
+    # limit off gamma stays 0, so the excess adds no loss term: a loop that
+    # skipped the pin and passed a zero in place of the excess computed the
+    # same numbers
     case = tf.preset("tip_cantilever", nelx=6, nely=3, iterations=4, fourier_m=4)
     assert not case.stress_on and not case.build_problem(tf.build_mesh(6, 3))[2].any()
     real_pin, real_loss = opt.apply_passive, opt.composite_loss
@@ -476,7 +500,9 @@ def test_loop_pins_passive_elements_and_passes_the_stress_excess_on_every_case(m
     one_route = tf.run_optimization(case)
     assert routes == ["pin", True] * case.iterations
     monkeypatch.setattr(opt, "apply_passive", lambda b, mask: b)
-    monkeypatch.setattr(opt, "composite_loss", lambda c, rho, _g, spec: real_loss(c, rho, None, spec))
+    monkeypatch.setattr(
+        opt, "composite_loss", lambda c, rho, _g, spec: real_loss(c, rho, c.tape.leaf(0.0), spec)
+    )
     forked = tf.run_optimization(case)
     for name in ("compliance", "volfrac", "sigma_pn", "loss"):
         assert getattr(one_route.record, name) == getattr(forked.record, name), name
@@ -530,7 +556,7 @@ def test_released_backward_peaks_below_the_default_by_the_factor():
         b = tf.amfilter.apply_passive(b, passive)
         rho = tf.apply_filter(b, case.nelx, case.nely, tf.FilterParams())
         u, _ = tf.assemble_and_solve(rho, mesh, tf.MaterialModel(), fixed, f)
-        return t, opt.composite_loss(tf.compliance(u, f), rho, None, spec)
+        return t, opt.composite_loss(tf.compliance(u, f), rho, t.leaf(0.0), spec)
 
     started = not tracemalloc.is_tracing()
     if started:
